@@ -51,8 +51,6 @@ from .priors import (
     PrecisionElicitation,
     PriorConfig,
     elicit_precision_rate,
-    hyperprior_logpdf,
-    pc_prior_bym2,
     sample_prior_predictive,
 )
 from .selection import GridConfig, fit_grid, waic

@@ -1,30 +1,19 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-numpy twin.
+"""Hot numeric kernels in plain numpy.
 
 These sit at the bottom of every likelihood evaluation, posterior scoring
-pass, and calibration scan, so the inner loops are fused.  The numba path is
-used when numba imports cleanly and the environment variable
-``STRATAPC_NUMBA`` is not set to ``0``/``false``/``off``; otherwise the numpy
-implementations run.  Both paths agree to floating-point roundoff;
-``benchmarks/bench_kernels.py`` times them side by side.
+pass, and calibration scan.  ``perfbench/`` times them in place, inside the
+likelihood, pointwise-scoring and PIT layers of its end-to-end workloads.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-
-def _numba_enabled() -> bool:
-    flag = os.environ.get("STRATAPC_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+# reported in the environment block of perfbench/workload.py
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def poisson_ll_grad_w_numpy(mu, y, exposure, observed):
+def poisson_ll_grad_w(mu, y, exposure, observed):
     """Core Poisson terms over flat cells: sum of y*mu - N*exp(mu) on the
     observed cells, plus per-cell gradient (y - N e^mu) and weight N e^mu
     (zero on unobserved cells)."""
@@ -35,88 +24,15 @@ def poisson_ll_grad_w_numpy(mu, y, exposure, observed):
     return ll, grad, w
 
 
-def pointwise_poisson_ll_numpy(logrates, y, exposure, const):
+def pointwise_poisson_ll(logrates, y, exposure, const):
     """Per-sample per-cell Poisson log pmf: ll[s, c] = y_c * mu_sc
     - N_c exp(mu_sc) + const_c for observed-cell arrays."""
     return y[None, :] * logrates - exposure[None, :] * np.exp(logrates) + const[None, :]
 
 
-def pit_mean_cdf_numpy(count_samples, y):
+def pit_mean_cdf(count_samples, y):
     """Nonrandomized count PIT 0.5 * (F(y) + F(y-1)) from predictive draws,
     with F the empirical CDF per cell (columns) and F(-1) = 0."""
     at = np.mean(count_samples <= y[None, :], axis=0)
     below = np.mean(count_samples <= (y - 1)[None, :], axis=0)
     return 0.5 * (at + below)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-_HAVE_NUMBA = False
-if _numba_enabled():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _poisson_ll_grad_w_numba(mu, y, exposure, observed):
-        n = mu.shape[0]
-        grad = np.zeros(n)
-        w = np.zeros(n)
-        ll = 0.0
-        for c in range(n):
-            if observed[c]:
-                rate = exposure[c] * math.exp(mu[c])
-                ll += y[c] * mu[c] - rate
-                grad[c] = y[c] - rate
-                w[c] = rate
-        return ll, grad, w
-
-    @njit(cache=True)
-    def _pointwise_poisson_ll_numba(logrates, y, exposure, const):
-        n_s, n_c = logrates.shape
-        out = np.empty((n_s, n_c))
-        for s in range(n_s):
-            for c in range(n_c):
-                mu = logrates[s, c]
-                out[s, c] = y[c] * mu - exposure[c] * math.exp(mu) + const[c]
-        return out
-
-    @njit(cache=True)
-    def _pit_mean_cdf_numba(count_samples, y):
-        n_s, n_c = count_samples.shape
-        at = np.zeros(n_c)
-        below = np.zeros(n_c)
-        # row-major traversal keeps the sample matrix accesses contiguous
-        for s in range(n_s):
-            for c in range(n_c):
-                v = count_samples[s, c]
-                if v <= y[c]:
-                    at[c] += 1.0
-                    if v <= y[c] - 1.0:
-                        below[c] += 1.0
-        return 0.5 * (at + below) / n_s
-
-    def poisson_ll_grad_w_numba(mu, y, exposure, observed):
-        return _poisson_ll_grad_w_numba(mu, y, exposure, observed)
-
-    def pointwise_poisson_ll_numba(logrates, y, exposure, const):
-        return _pointwise_poisson_ll_numba(logrates, y, exposure, const)
-
-    def pit_mean_cdf_numba(count_samples, y):
-        return _pit_mean_cdf_numba(count_samples, y)
-
-    BACKEND = "numba"
-    poisson_ll_grad_w = poisson_ll_grad_w_numba
-    pointwise_poisson_ll = pointwise_poisson_ll_numba
-    pit_mean_cdf = pit_mean_cdf_numba
-else:
-    BACKEND = "numpy"
-    poisson_ll_grad_w = poisson_ll_grad_w_numpy
-    pointwise_poisson_ll = pointwise_poisson_ll_numpy
-    pit_mean_cdf = pit_mean_cdf_numpy

@@ -11,6 +11,7 @@ success, 1 on usage errors, 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import scipy.linalg as sla
 
 from .config import ConfigError, RunConfig
 from .core import GridSpec
-from .covariance import CrossStrataStructure, DisconnectedGraphError
+from .covariance import DisconnectedGraphError
 from .data import (
     DataFormatError,
     GridWindow,
@@ -31,15 +32,18 @@ from .data import (
     write_series_csv,
 )
 from .diagnostics import cross_strata_rr, hindcast, pit
-from .inference import (
-    ModeError,
-    MortalityDataset,
-    assemble_model,
-    fit_model,
-)
+from .inference import ModeError, MortalityDataset
 from .priors import sample_prior_predictive
 from .report import provenance, svg_line_plot, write_csv, write_json
-from .selection import GridConfig, fit_grid, pointwise_loglik, waic
+from .selection import (
+    STRUCTURES,
+    GridConfig,
+    candidate_model,
+    fit_candidate,
+    fit_grid,
+    pointwise_loglik,
+    waic,
+)
 
 
 class UsageError(ValueError):
@@ -118,7 +122,9 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _load(args) -> tuple[RunConfig, MortalityDataset, object, dict]:
+def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
+    """The run configuration, the aggregated data, the fit settings every
+    subcommand fits with, and the provenance block of the outputs."""
     config = RunConfig.from_file(args.config)
     seed = args.seed if getattr(args, "seed", None) is not None else config.seed
     raw = read_series_csv(args.data)
@@ -126,6 +132,18 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, object, dict]:
     graph = None
     if getattr(args, "graph", None):
         graph, _ = load_graph(args.graph, strata=dataset.strata)
+    fit_config = GridConfig(
+        patterns=config.models,
+        structures=config.structures,
+        graph=graph,
+        prior_config=config.prior_config,
+        baseline_spec=config.baseline_spec,
+        n_samples=config.n_samples,
+        seed=seed,
+        budget=config.budget,
+        rel_tol=config.rel_tol,
+        eta_grid=config.eta_grid,
+    )
     meta = {
         "provenance": provenance(config.canonical_dict(), seed),
         "aggregation": {
@@ -136,17 +154,14 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, object, dict]:
         },
         "seed": seed,
     }
-    return config, dataset, graph, meta
+    return config, dataset, fit_config, meta
 
 
-def _structure(kind: str, graph) -> CrossStrataStructure:
-    if kind == "bym2":
-        if graph is None:
-            raise UsageError("structure bym2 requires --graph")
-        return CrossStrataStructure(kind="bym2", graph=graph)
-    if kind not in ("independent", "exchangeable"):
+def _check_structure(kind: str, fit_config: GridConfig) -> None:
+    if kind not in STRUCTURES:
         raise UsageError(f"unknown structure {kind!r}")
-    return CrossStrataStructure(kind=kind)
+    if kind == "bym2" and fit_config.graph is None:
+        raise UsageError("structure bym2 requires --graph")
 
 
 def _stratum_index(dataset: MortalityDataset, label: str) -> int:
@@ -223,26 +238,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config, dataset, graph, meta = _load(args)
+    config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    structure = _structure(args.structure, graph)
-    model = assemble_model(
-        dataset.grid,
-        dataset.n_strata,
-        args.pattern,
-        structure,
-        baseline_spec=config.baseline_spec,
-        prior_config=config.prior_config,
-    )
-    fit = fit_model(
-        model,
-        dataset,
-        n_samples=config.n_samples,
-        seed=meta["seed"],
-        budget=config.budget,
-        rel_tol=config.rel_tol,
-        eta_grid=config.eta_grid,
-    )
+    _check_structure(args.structure, fit_config)
+    fit = fit_candidate(dataset, fit_config, args.pattern, args.structure, fit_config.seed)
     score = waic(pointwise_loglik(fit, dataset))
     cube = fit.lograte_cube()
     lower, median, upper = np.percentile(cube, [2.5, 50.0, 97.5], axis=0)
@@ -320,24 +319,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    config, dataset, graph, meta = _load(args)
+    _, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    structures = tuple(args.structures.split(",")) if args.structures else config.structures
-    if graph is None:
+    structures = tuple(args.structures.split(",")) if args.structures else fit_config.structures
+    if fit_config.graph is None:
         structures = tuple(s for s in structures if s != "bym2")
-    models = tuple(args.models.split(",")) if args.models else config.models
-    grid_config = GridConfig(
-        patterns=models,
-        structures=structures,
-        graph=graph,
-        prior_config=config.prior_config,
-        baseline_spec=config.baseline_spec,
-        n_samples=config.n_samples,
-        seed=meta["seed"],
-        budget=config.budget,
-        rel_tol=config.rel_tol,
-        eta_grid=config.eta_grid,
-        workers=args.workers,
+    models = tuple(args.models.split(",")) if args.models else fit_config.patterns
+    grid_config = dataclasses.replace(
+        fit_config, patterns=models, structures=structures, workers=args.workers
     )
     result = fit_grid(dataset, grid_config)
     rows = [
@@ -366,22 +355,14 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_prior_check(args) -> int:
-    config, dataset, graph, meta = _load(args)
+    _, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    structure = _structure(args.structure, graph)
-    model = assemble_model(
-        dataset.grid,
-        dataset.n_strata,
-        args.pattern,
-        structure,
-        baseline_spec=config.baseline_spec,
-        prior_config=config.prior_config,
-    )
+    _check_structure(args.structure, fit_config)
     summary = sample_prior_predictive(
-        model,
+        candidate_model(dataset, fit_config, args.pattern, args.structure),
         dataset.exposures,
         n_sims=args.sims,
-        seed=meta["seed"],
+        seed=fit_config.seed,
         observed=dataset.observed,
         observed_counts=dataset.counts,
     )
@@ -410,8 +391,9 @@ def _cmd_prior_check(args) -> int:
 
 
 def _cmd_hindcast(args) -> int:
-    config, dataset, graph, meta = _load(args)
+    config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
+    _check_structure(args.structure, fit_config)
     r = _stratum_index(dataset, args.mask_stratum)
     window = config.window
     j_from = (args.mask_year_from - window.year_start) // window.bin_width
@@ -432,21 +414,9 @@ def _cmd_hindcast(args) -> int:
         grid=dataset.grid,
         strata=dataset.strata,
     )
-    structure = _structure(args.structure, graph)
-    model = assemble_model(
-        train.grid,
-        train.n_strata,
-        args.pattern,
-        structure,
-        baseline_spec=config.baseline_spec,
-        prior_config=config.prior_config,
-    )
-    fit = fit_model(
-        model, train, n_samples=config.n_samples, seed=meta["seed"],
-        budget=config.budget, rel_tol=config.rel_tol,
-    )
+    fit = fit_candidate(train, fit_config, args.pattern, args.structure, fit_config.seed)
     targets = np.argwhere(mask)
-    result = hindcast(fit, targets, dataset.exposures, seed=meta["seed"])
+    result = hindcast(fit, targets, dataset.exposures, seed=fit_config.seed)
     pit_result = pit(
         result.samples, dataset.counts[targets[:, 0], targets[:, 1], targets[:, 2]]
     )
@@ -494,23 +464,12 @@ def _cmd_hindcast(args) -> int:
 
 
 def _cmd_rr(args) -> int:
-    config, dataset, graph, meta = _load(args)
+    _, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    structure = _structure(args.structure, graph)
-    model = assemble_model(
-        dataset.grid,
-        dataset.n_strata,
-        args.pattern,
-        structure,
-        baseline_spec=config.baseline_spec,
-        prior_config=config.prior_config,
-    )
-    fit = fit_model(
-        model, dataset, n_samples=config.n_samples, seed=meta["seed"],
-        budget=config.budget, rel_tol=config.rel_tol,
-    )
+    _check_structure(args.structure, fit_config)
     r1 = _stratum_index(dataset, args.r1)
     r2 = _stratum_index(dataset, args.r2)
+    fit = fit_candidate(dataset, fit_config, args.pattern, args.structure, fit_config.seed)
     result = cross_strata_rr(fit, args.block, r1, r2)
     write_csv(
         out / "rr.csv",
@@ -555,7 +514,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, DataFormatError, DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ModeError, sla.LinAlgError, np.linalg.LinAlgError) as exc:
+    except (ModeError, sla.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

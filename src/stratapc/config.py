@@ -166,18 +166,3 @@ class RunConfig:
     def hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def default_config_dict(
-    age_start: int, age_end: int, year_start: int, year_end: int, bin_width: int, seed: int = 0
-) -> dict:
-    return {
-        "grid": {
-            "age_start": age_start,
-            "age_end": age_end,
-            "year_start": year_start,
-            "year_end": year_end,
-            "bin_width": bin_width,
-        },
-        "seed": seed,
-    }

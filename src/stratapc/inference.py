@@ -767,13 +767,18 @@ def _laplace_with_mode(
     init: np.ndarray | None = None,
 ) -> tuple[float, ModeResult]:
     mode = conditional_mode(model, eta, data=data, likelihood=likelihood, init=init)
-    value = (
+    return _log_marginal(model, eta, mode), mode
+
+
+def _log_marginal(model: LatentModel, eta: HyperParameters, mode: ModeResult) -> float:
+    """The Laplace formula at a found mode: log joint at the mode
+    - 1/2 logdet(H) + (dim/2) log 2pi + hyperprior log density."""
+    return float(
         mode.objective
         - 0.5 * mode.logdet_hessian
         + 0.5 * model.free_dim * np.log(2.0 * np.pi)
         + model.prior_model.logpdf(eta)
     )
-    return float(value), mode
 
 
 @dataclass
@@ -812,7 +817,7 @@ def optimize_hyperparameters(
             val, mode = _laplace_with_mode(
                 model, eta, likelihood=likelihood, init=state["warm"]
             )
-        except (ModeError, ValueError, sla.LinAlgError, np.linalg.LinAlgError):
+        except (ModeError, ValueError, sla.LinAlgError):
             return big
         if not np.isfinite(val):
             return big
@@ -910,12 +915,7 @@ def sample_posterior(
     if mode is None:
         mode = conditional_mode(model, eta_hat, likelihood=likelihood)
     if log_marginal is None:
-        log_marginal = (
-            mode.objective
-            - 0.5 * mode.logdet_hessian
-            + 0.5 * model.free_dim * np.log(2.0 * np.pi)
-            + model.prior_model.logpdf(eta_hat)
-        )
+        log_marginal = _log_marginal(model, eta_hat, mode)
     rng = np.random.default_rng(seed)
 
     grid_info = None

@@ -174,7 +174,7 @@ def mcmc_oracle(
                 lp_cand = prior_cand.logpdf(xi)
                 hyper_cand = hyper_logdensity(t_cand, eta_cand)
                 log_ratio = (lp_cand + hyper_cand) - (lp_cur + hyper_cur)
-            except (ValueError, sla.LinAlgError, np.linalg.LinAlgError):
+            except (ValueError, sla.LinAlgError):
                 log_ratio = -np.inf
             n_hyp += 1
             accepted = np.isfinite(log_ratio) and np.log(rng.uniform()) < log_ratio

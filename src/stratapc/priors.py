@@ -230,12 +230,6 @@ class PCPriorBYM2:
         return float(sopt.brentq(lambda r: self.distance(r) - d, lo, hi, xtol=1e-12))
 
 
-def pc_prior_bym2(rho: float, scaled_qinv: np.ndarray) -> float:
-    """Log density of the penalized-complexity prior at rho (convenience
-    wrapper; reuse a PCPriorBYM2 instance when evaluating repeatedly)."""
-    return PCPriorBYM2(scaled_qinv).logpdf(rho)
-
-
 # ---------------------------------------------------------------------------
 # hyperparameter container and the joint hyperprior
 
@@ -305,13 +299,6 @@ class PriorModel:
                 rhos[block] = self.pc_prior.sample(rng)
         nu0 = self.baseline_mean.sample(rng) if self.nu0_active else None
         return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
-
-
-def hyperprior_logpdf(eta: HyperParameters, prior_model: PriorModel) -> float:
-    """Joint log density of the active hyperparameters: exponential priors
-    on precisions, the structure's correlation priors, and the normal prior
-    on the population-mean baseline when it varies."""
-    return prior_model.logpdf(eta)
 
 
 # ---------------------------------------------------------------------------

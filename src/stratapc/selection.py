@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 from .covariance import AdjacencyGraph, CrossStrataStructure
 from .core import BaselineSpec
 from .inference import (
+    LatentModel,
     ModeError,
     MortalityDataset,
     PoissonLikelihood,
@@ -169,38 +170,53 @@ def _entry_specs(data: MortalityDataset, config: GridConfig) -> list[tuple[str, 
     return specs
 
 
+def candidate_model(
+    data: MortalityDataset, config: GridConfig, pattern: str, structure_kind: str
+) -> LatentModel:
+    """The latent model of one (pattern, structure) candidate under the
+    run's priors and baseline; bym2 takes the configured graph."""
+    structure = CrossStrataStructure(
+        kind=structure_kind,
+        graph=config.graph if structure_kind == "bym2" else None,
+    )
+    return assemble_model(
+        data.grid,
+        data.n_strata,
+        pattern,
+        structure,
+        baseline_spec=config.baseline_spec,
+        prior_config=config.prior_config,
+    )
+
+
+def fit_candidate(
+    data: MortalityDataset, config: GridConfig, pattern: str, structure_kind: str, seed: int
+) -> PosteriorFit:
+    """Build one candidate and fit it with the run's sampling and search
+    settings; the one path from settings to a fitted model."""
+    return fit_model(
+        candidate_model(data, config, pattern, structure_kind),
+        data,
+        n_samples=config.n_samples,
+        seed=seed,
+        budget=config.budget,
+        rel_tol=config.rel_tol,
+        eta_grid=config.eta_grid,
+    )
+
+
 def _fit_entry(
     data: MortalityDataset, config: GridConfig, spec: tuple[str, str], seed: int
 ) -> GridEntry:
     pattern, structure_kind = spec
     entry = GridEntry(pattern=pattern, structure=structure_kind)
     try:
-        structure = CrossStrataStructure(
-            kind=structure_kind,
-            graph=config.graph if structure_kind == "bym2" else None,
-        )
-        model = assemble_model(
-            data.grid,
-            data.n_strata,
-            pattern,
-            structure,
-            baseline_spec=config.baseline_spec,
-            prior_config=config.prior_config,
-        )
-        fit = fit_model(
-            model,
-            data,
-            n_samples=config.n_samples,
-            seed=seed,
-            budget=config.budget,
-            rel_tol=config.rel_tol,
-            eta_grid=config.eta_grid,
-        )
+        fit = fit_candidate(data, config, pattern, structure_kind, seed)
         score = waic(pointwise_loglik(fit, data))
         entry.waic, entry.lppd, entry.p_waic = score.as_tuple()
         entry.converged = fit.converged
         entry.fit = fit
-    except (ModeError, ValueError, sla.LinAlgError, np.linalg.LinAlgError) as exc:
+    except (ModeError, ValueError, sla.LinAlgError) as exc:
         entry.error = f"{type(exc).__name__}: {exc}"
     return entry
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stratapc import selection
 from stratapc.cli import main
 from stratapc.report import read_csv
 
@@ -211,6 +212,38 @@ class TestRR:
             ]
         )
         assert rc == 1
+
+
+class TestFitSettings:
+    SETTINGS = {"n_samples": 120, "budget": 30, "rel_tol": 1e-4, "eta_grid": True}
+    MODEL = ["--pattern", "M4", "--structure", "independent"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", *MODEL],
+            ["grid", "--models", "M4", "--structures", "independent"],
+            ["hindcast", *MODEL, "--mask-stratum", "s1", "--mask-year-from", "0",
+             "--mask-year-to", "3"],
+            ["rr", *MODEL, "--block", "period", "--r1", "s0", "--r2", "s2"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_config_settings_reach_fit_model(self, sim_dir, tmp_path, monkeypatch, command):
+        calls = []
+        real = selection.fit_model
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_model", recording)
+        cfg = fast_config(tmp_path / "config.json", {"inference": self.SETTINGS})
+        io = ["--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+              "--out", str(tmp_path / "out")]
+        assert main([command[0], *io, *command[1:]]) == 0
+        assert len(calls) == 1
+        assert {k: calls[0].get(k) for k in self.SETTINGS} == self.SETTINGS
 
 
 class TestUsage:
