@@ -31,8 +31,8 @@ from .data import (
     write_graph_csv,
     write_series_csv,
 )
-from .diagnostics import cross_strata_rr, hindcast, pit
-from .inference import ModeError, MortalityDataset
+from .diagnostics import MIN_PIT_SAMPLES, cross_strata_rr, hindcast, pit
+from .inference import ModeError, MortalityDataset, pattern_names
 from .priors import sample_prior_predictive
 from .report import provenance, svg_line_plot, write_csv, write_json
 from .selection import (
@@ -64,12 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
 
+    pattern_arg = {"type": str.upper, "choices": pattern_names()}
+
     p = sub.add_parser("simulate", help="generate synthetic data from a specified model")
     p.add_argument("--out", required=True)
     p.add_argument("--n-age", type=int, default=10)
     p.add_argument("--n-period", type=int, default=10)
     p.add_argument("--n-strata", type=int, default=4)
-    p.add_argument("--pattern", default="M4")
+    p.add_argument("--pattern", default="M4", **pattern_arg)
     p.add_argument("--structure", default="independent",
                    choices=["independent", "exchangeable"])
     p.add_argument("--exposure", type=float, default=1e5)
@@ -80,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one (pattern, structure) model")
     io_args(p)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--structure", required=True)
+    p.add_argument("--pattern", required=True, **pattern_arg)
+    p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--svg", action="store_true")
 
     p = sub.add_parser("grid", help="fit the model grid and rank by WAIC")
@@ -92,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prior-check", help="prior-predictive extrema summary")
     io_args(p)
-    p.add_argument("--pattern", default="M6")
-    p.add_argument("--structure", default="independent")
+    p.add_argument("--pattern", default="M6", **pattern_arg)
+    p.add_argument("--structure", default="independent", choices=STRUCTURES)
     p.add_argument("--sims", type=int, default=200)
 
     p = sub.add_parser("hindcast", help="mask cells, refit, predict, PIT")
     io_args(p)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--structure", required=True)
+    p.add_argument("--pattern", required=True, **pattern_arg)
+    p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--mask-stratum", required=True)
     p.add_argument("--mask-year-from", type=int, required=True)
     p.add_argument("--mask-year-to", type=int, required=True,
@@ -108,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rr", help="cross-strata relative-risk curve")
     io_args(p)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--structure", required=True)
+    p.add_argument("--pattern", required=True, **pattern_arg)
+    p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--block", required=True, choices=["period", "cohort"])
     p.add_argument("--r1", required=True, help="stratum label (numerator)")
     p.add_argument("--r2", required=True, help="stratum label (denominator)")
@@ -158,8 +160,6 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
 
 
 def _check_structure(kind: str, fit_config: GridConfig) -> None:
-    if kind not in STRUCTURES:
-        raise UsageError(f"unknown structure {kind!r}")
     if kind == "bym2" and fit_config.graph is None:
         raise UsageError("structure bym2 requires --graph")
 
@@ -318,13 +318,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _subset(flag: str, value: str | None, known: tuple[str, ...], default) -> tuple[str, ...]:
+    """The names of a comma-separated grid subset flag, all of them known."""
+    if not value:
+        return default
+    names = tuple(value.split(","))
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise UsageError(
+            f"{flag}: unknown {', '.join(map(repr, unknown))}; use {', '.join(known)}"
+        )
+    return names
+
+
 def _cmd_grid(args) -> int:
     _, dataset, fit_config, meta = _load(args)
-    out = _outdir(args.out)
-    structures = tuple(args.structures.split(",")) if args.structures else fit_config.structures
+    models = _subset("--models", args.models, pattern_names(), fit_config.patterns)
+    structures = _subset("--structures", args.structures, STRUCTURES, fit_config.structures)
     if fit_config.graph is None:
         structures = tuple(s for s in structures if s != "bym2")
-    models = tuple(args.models.split(",")) if args.models else fit_config.patterns
+    out = _outdir(args.out)
     grid_config = dataclasses.replace(
         fit_config, patterns=models, structures=structures, workers=args.workers
     )
@@ -394,6 +407,11 @@ def _cmd_hindcast(args) -> int:
     config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
     _check_structure(args.structure, fit_config)
+    if fit_config.n_samples < MIN_PIT_SAMPLES:
+        raise UsageError(
+            f"hindcast PIT needs inference.n_samples >= {MIN_PIT_SAMPLES}, "
+            f"got {fit_config.n_samples}"
+        )
     r = _stratum_index(dataset, args.mask_stratum)
     window = config.window
     j_from = (args.mask_year_from - window.year_start) // window.bin_width

@@ -85,14 +85,13 @@ class AdjacencyGraph:
 
 @dataclass(frozen=True)
 class CrossStrataStructure:
-    """Cross-strata correlation family, optionally with its parameter.
+    """Cross-strata correlation family of the strata-varying blocks.
 
-    rho is absent for the independent structure; for exchangeable it must lie
-    strictly inside (-1/(R-1), 1); for bym2 strictly inside (0, 1).
+    Its parameter rho is a hyperparameter, one per block: for exchangeable it
+    lies strictly inside (-1/(R-1), 1), for bym2 strictly inside (0, 1).
     """
 
     kind: StructureKind
-    rho: float | None = None
     graph: AdjacencyGraph | None = None
 
     def __post_init__(self) -> None:
@@ -100,11 +99,6 @@ class CrossStrataStructure:
             raise ValueError(f"unknown structure kind {self.kind!r}")
         if self.kind == "bym2" and self.graph is None:
             raise ValueError("bym2 structure requires an adjacency graph")
-        if self.kind == "independent" and self.rho is not None:
-            raise ValueError("independent structure takes no rho")
-
-    def with_rho(self, rho: float) -> "CrossStrataStructure":
-        return CrossStrataStructure(kind=self.kind, rho=rho, graph=self.graph)
 
 
 @dataclass(frozen=True)
@@ -224,116 +218,3 @@ def bym2_corr(rho: float, scaled_qinv: np.ndarray) -> np.ndarray:
         raise ValueError(f"rho={rho} outside the open interval (0, 1)")
     scaled_qinv = np.asarray(scaled_qinv, dtype=float)
     return (1.0 - rho) * np.eye(scaled_qinv.shape[0]) + rho * scaled_qinv
-
-
-def structure_covariance(
-    structure: CrossStrataStructure, n_strata: int, scaled_qinv: np.ndarray | None = None
-) -> np.ndarray:
-    """Cross-strata covariance matrix for a structure with its rho set."""
-    if structure.kind == "independent":
-        return np.eye(n_strata)
-    if structure.rho is None:
-        raise ValueError(f"{structure.kind} structure needs rho")
-    if structure.kind == "exchangeable":
-        return exchangeable_corr(n_strata, structure.rho)
-    if scaled_qinv is None:
-        if structure.graph is None:
-            raise ValueError("bym2 structure needs a graph")
-        scaled_qinv = scaled_generalized_inverse(icar_precision(structure.graph))
-    return bym2_corr(structure.rho, scaled_qinv)
-
-
-@dataclass(frozen=True)
-class KroneckerPrecision:
-    """Precision of the strata-major vec of a (block_rows x R) latent block.
-
-    The block follows a matrix normal with within-stratum covariance
-    tau^-1 I and cross-strata covariance sigma, so the vec precision is
-    sigma^-1 (x) tau I.  Quadratic forms, log-determinants and matvecs use
-    the small factors; ``dense()`` materializes the Kronecker product only
-    when a caller genuinely needs the full matrix.
-    """
-
-    block_rows: int
-    n_strata: int
-    tau: float
-    sigma: np.ndarray | None  # None means independent (identity)
-    _sigma_chol: np.ndarray | None = field(init=False, repr=False)
-    _sigma_inv: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.sigma is None:
-            object.__setattr__(self, "_sigma_chol", None)
-            object.__setattr__(self, "_sigma_inv", None)
-            return
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (self.n_strata, self.n_strata):
-            raise ValueError("sigma shape does not match n_strata")
-        chol = sla.cholesky(sigma, lower=True)
-        inv = sla.cho_solve((chol, True), np.eye(self.n_strata))
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_sigma_chol", chol)
-        object.__setattr__(self, "_sigma_inv", 0.5 * (inv + inv.T))
-
-    @property
-    def dim(self) -> int:
-        return self.block_rows * self.n_strata
-
-    def _as_matrix(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        return v.reshape(self.n_strata, self.block_rows)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        m = self._as_matrix(v)
-        if self._sigma_inv is None:
-            return (self.tau * m).ravel()
-        return (self.tau * (self._sigma_inv @ m)).ravel()
-
-    def quad_form(self, v: np.ndarray) -> float:
-        m = self._as_matrix(v)
-        if self._sigma_inv is None:
-            return self.tau * float(np.sum(m * m))
-        return self.tau * float(np.sum((self._sigma_inv @ m) * m))
-
-    def logdet(self) -> float:
-        out = self.dim * np.log(self.tau)
-        if self._sigma_chol is not None:
-            logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(self._sigma_chol))))
-            out -= self.block_rows * logdet_sigma
-        return float(out)
-
-    def dense(self) -> np.ndarray:
-        if self._sigma_inv is None:
-            return self.tau * np.eye(self.dim)
-        return np.kron(self._sigma_inv, self.tau * np.eye(self.block_rows))
-
-    def sample(self, rng: np.random.Generator, mean: np.ndarray | None = None) -> np.ndarray:
-        """One draw of the block, returned as a strata-major vec."""
-        z = rng.standard_normal((self.block_rows, self.n_strata))
-        x = z / np.sqrt(self.tau)
-        if self._sigma_chol is not None:
-            x = x @ self._sigma_chol.T
-        if mean is not None:
-            x = x + mean.reshape(self.n_strata, self.block_rows).T
-        return x.T.ravel()
-
-
-def block_prior_precision(
-    block_rows: int,
-    n_strata: int,
-    structure: CrossStrataStructure,
-    tau: float,
-    scaled_qinv: np.ndarray | None = None,
-) -> KroneckerPrecision:
-    """Precision operator for one latent block under a cross-strata structure."""
-    if structure.kind == "independent":
-        sigma = None
-    else:
-        sigma = structure_covariance(structure, n_strata, scaled_qinv)
-    return KroneckerPrecision(
-        block_rows=block_rows, n_strata=n_strata, tau=tau, sigma=sigma
-    )

@@ -31,19 +31,23 @@ class PITResult:
     density: np.ndarray
 
 
+# fewest predictive draws per cell that ``pit`` accepts
+MIN_PIT_SAMPLES = 100
+
+
 def pit(count_samples: np.ndarray, observed: np.ndarray, n_bins: int = 20) -> PITResult:
     """Nonrandomized PIT for counts: 0.5 * (F(y) + F(y-1)) with F the
     empirical CDF of the predictive draws per cell (columns) and F(-1) = 0.
 
-    Needs at least 100 predictive samples per cell.  The plotted density is a
+    Needs at least MIN_PIT_SAMPLES predictive samples per cell.  The plotted density is a
     Gaussian kernel estimate with Silverman's bandwidth, reflected at 0 and 1.
     """
     samples = np.asarray(count_samples, dtype=float)
     y = np.asarray(observed, dtype=float).ravel()
     if samples.ndim != 2 or samples.shape[1] != y.shape[0]:
         raise ValueError("count_samples must be (n_samples, n_cells) matching observed")
-    if samples.shape[0] < 100:
-        raise ValueError("need at least 100 predictive samples per cell")
+    if samples.shape[0] < MIN_PIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_PIT_SAMPLES} predictive samples per cell")
     values = _kernels.pit_mean_cdf(samples, y)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     density_hist, _ = np.histogram(values, bins=edges, density=True)

@@ -36,8 +36,8 @@ from .core import (
 )
 from .covariance import (
     CrossStrataStructure,
-    KroneckerPrecision,
-    block_prior_precision,
+    bym2_corr,
+    exchangeable_corr,
     icar_precision,
     scaled_generalized_inverse,
 )
@@ -328,79 +328,66 @@ class LatentModel:
     # ------------------------------------------------------------------
     # latent prior
 
-    def _block_precisions(
+    def _block_priors(
         self, eta: HyperParameters
-    ) -> list[tuple[str, slice, KroneckerPrecision | np.ndarray, np.ndarray]]:
-        """(name, slice, precision, mean) per block; shared-block precisions
-        come back as dense diagonals, varying blocks as Kronecker operators."""
+    ) -> list[tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]]:
+        """(slice, within-stratum precision diagonal, lower Cholesky factor
+        of the cross-strata covariance, mean) per block.
+
+        A varying block's vec precision is Sigma^-1 (x) diag(within); the
+        factor is None for shared blocks and the independent structure, whose
+        Sigma is the identity.
+        """
         out = []
         for name in BLOCKS:
             offset, length, shared = self.blocks[name]
-            total = length if shared else length * self.n_strata
-            sl = slice(offset, offset + total)
-            if name == "baseline":
-                if shared:
-                    prior = self.prior_config.baseline_mean
-                    prec = np.diag(1.0 / prior.variances)
-                    mean = prior.mean.copy()
-                else:
-                    if eta.nu0 is None:
-                        raise ValueError("varying baseline needs nu0 in eta")
-                    op = block_prior_precision(
-                        length,
-                        self.n_strata,
-                        self._structure_with_rho(eta, name),
-                        eta.taus["baseline"],
-                        scaled_qinv=self.scaled_qinv,
-                    )
-                    prec = op
-                    mean = np.tile(np.asarray(eta.nu0, dtype=float), self.n_strata)
+            copies = 1 if shared else self.n_strata
+            sl = slice(offset, offset + length * copies)
+            if shared and name == "baseline":
+                prior = self.prior_config.baseline_mean
+                out.append((sl, 1.0 / prior.variances, None, prior.mean.copy()))
+                continue
+            if shared or name != "baseline":
+                mean = np.zeros(length * copies)
+            elif eta.nu0 is None:
+                raise ValueError("varying baseline needs nu0 in eta")
             else:
-                tau = eta.taus[name]
-                if shared:
-                    prec = tau * np.eye(length)
-                    mean = np.zeros(length)
-                else:
-                    op = block_prior_precision(
-                        length,
-                        self.n_strata,
-                        self._structure_with_rho(eta, name),
-                        tau,
-                        scaled_qinv=self.scaled_qinv,
-                    )
-                    prec = op
-                    mean = np.zeros(total)
-            out.append((name, sl, prec, mean))
+                mean = np.tile(np.asarray(eta.nu0, dtype=float), copies)
+            chol = None
+            if not shared and self.structure.kind == "exchangeable":
+                chol = sla.cholesky(exchangeable_corr(copies, eta.rhos[name]), lower=True)
+            elif not shared and self.structure.kind == "bym2":
+                chol = sla.cholesky(bym2_corr(eta.rhos[name], self.scaled_qinv), lower=True)
+            out.append((sl, np.full(length, eta.taus[name]), chol, mean))
         return out
-
-    def _structure_with_rho(self, eta: HyperParameters, block: str) -> CrossStrataStructure:
-        if self.structure.kind == "independent":
-            return self.structure
-        return self.structure.with_rho(eta.rhos[block])
 
     def latent_prior(self, eta: HyperParameters) -> LatentPrior:
         precision = np.zeros((self.free_dim, self.free_dim))
         mean = np.zeros(self.free_dim)
         logdet = 0.0
-        for _, sl, prec, block_mean in self._block_precisions(eta):
-            if isinstance(prec, KroneckerPrecision):
-                precision[sl, sl] = prec.dense()
-                logdet += prec.logdet()
+        for sl, within, chol, block_mean in self._block_priors(eta):
+            copies = block_mean.shape[0] // within.shape[0]
+            block_logdet = copies * float(np.sum(np.log(within)))
+            if chol is None:
+                precision[sl, sl] = np.diag(np.tile(within, copies))
             else:
-                precision[sl, sl] = prec
-                logdet += float(np.sum(np.log(np.diag(prec))))
+                inv = sla.cho_solve((chol, True), np.eye(copies))
+                precision[sl, sl] = np.kron(0.5 * (inv + inv.T), np.diag(within))
+                logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
+                block_logdet -= within.shape[0] * logdet_sigma
+            logdet += block_logdet
             mean[sl] = block_mean
         return LatentPrior(precision=precision, mean=mean, logdet=logdet)
 
     def sample_latent_prior(self, eta: HyperParameters, rng: np.random.Generator) -> np.ndarray:
         """One draw of the free latent vector from its prior at eta."""
         xi = np.zeros(self.free_dim)
-        for name, sl, prec, mean in self._block_precisions(eta):
-            if isinstance(prec, KroneckerPrecision):
-                xi[sl] = prec.sample(rng, mean=mean if name == "baseline" else None)
-            else:
-                sd = 1.0 / np.sqrt(np.diag(prec))
-                xi[sl] = mean + sd * rng.standard_normal(len(mean))
+        for sl, within, chol, mean in self._block_priors(eta):
+            z = rng.standard_normal((within.shape[0], mean.shape[0] // within.shape[0]))
+            x = z / np.sqrt(within)[:, None]
+            if chol is not None:
+                x = x @ chol.T
+            xi[sl] = mean + x.T.ravel()
         return xi
 
     # ------------------------------------------------------------------

@@ -230,14 +230,7 @@ class TestFitSettings:
         ids=lambda c: c[0],
     )
     def test_config_settings_reach_fit_model(self, sim_dir, tmp_path, monkeypatch, command):
-        calls = []
-        real = selection.fit_model
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(selection, "fit_model", recording)
+        calls = record_fit_calls(monkeypatch)
         cfg = fast_config(tmp_path / "config.json", {"inference": self.SETTINGS})
         io = ["--config", str(cfg), "--data", str(sim_dir / "data.csv"),
               "--out", str(tmp_path / "out")]
@@ -246,9 +239,86 @@ class TestFitSettings:
         assert {k: calls[0].get(k) for k in self.SETTINGS} == self.SETTINGS
 
 
+def record_fit_calls(monkeypatch) -> list:
+    calls = []
+    real = selection.fit_model
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_model", recording)
+    return calls
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
     def test_missing_required_flag(self):
         assert main(["fit", "--pattern", "M1"]) == 1
+
+    COMMANDS = {
+        "simulate": [],
+        "fit": [],
+        "prior-check": [],
+        "hindcast": ["--mask-stratum", "s1", "--mask-year-from", "0", "--mask-year-to", "3"],
+        "rr": ["--block", "period", "--r1", "s0", "--r2", "s2"],
+    }
+
+    def argv(self, command, sim_dir, tmp_path, pattern, structure):
+        argv = [command, "--out", str(tmp_path / "out"), *self.COMMANDS[command],
+                "--pattern", pattern, "--structure", structure]
+        if command != "simulate":
+            cfg = fast_config(tmp_path / "config.json")
+            argv += ["--config", str(cfg), "--data", str(sim_dir / "data.csv")]
+        return argv
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unknown_pattern_is_usage_error(self, sim_dir, tmp_path, capsys, command):
+        assert main(self.argv(command, sim_dir, tmp_path, "M9", "independent")) == 1
+        err = capsys.readouterr().err
+        assert "'M9'" in err and "M6" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "prior-check", "hindcast", "rr"])
+    def test_unknown_structure_lists_choices(self, sim_dir, tmp_path, capsys, command):
+        assert main(self.argv(command, sim_dir, tmp_path, "M4", "bogus")) == 1
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "exchangeable" in err and "bym2" in err
+
+    def test_grid_unknown_names_rejected_before_fitting(
+        self, sim_dir, tmp_path, monkeypatch, capsys
+    ):
+        calls = record_fit_calls(monkeypatch)
+        cfg = fast_config(tmp_path / "config.json")
+        out = tmp_path / "grid"
+        rc = main(
+            [
+                "grid", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                "--out", str(out), "--models", "M9,M1",
+                "--structures", "independent,bogus",
+            ]
+        )
+        assert rc == 1
+        assert calls == []
+        assert not (out / "grid.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'M9'" in err
+
+    def test_hindcast_too_few_samples_rejected_before_fitting(
+        self, sim_dir, tmp_path, monkeypatch, capsys
+    ):
+        calls = record_fit_calls(monkeypatch)
+        cfg = fast_config(tmp_path / "config.json", {"inference": {"n_samples": 60}})
+        rc = main(
+            [
+                "hindcast", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                "--out", str(tmp_path / "hc"), "--pattern", "M4",
+                "--structure", "independent", "--mask-stratum", "s1",
+                "--mask-year-from", "0", "--mask-year-to", "3",
+            ]
+        )
+        assert rc == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_samples" in err

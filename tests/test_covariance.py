@@ -7,7 +7,6 @@ from stratapc.covariance import (
     CrossStrataStructure,
     DisconnectedGraphError,
     MatrixNormalParams,
-    block_prior_precision,
     bym2_corr,
     exchangeable_corr,
     icar_precision,
@@ -181,41 +180,6 @@ class TestBym2:
         qinv = scaled_generalized_inverse(icar_precision(g))
         for rho in (0.01, 0.3, 0.5, 0.9, 0.99):
             assert np.linalg.eigvalsh(bym2_corr(rho, qinv)).min() > 0
-
-
-class TestBlockPriorPrecision:
-    def test_independent_is_scaled_identity(self):
-        op = block_prior_precision(4, 3, CrossStrataStructure(kind="independent"), tau=2.5)
-        assert np.array_equal(op.dense(), 2.5 * np.eye(12))
-
-    def test_quad_form_matches_dense_kron(self, rng):
-        sigma = exchangeable_corr(4, 0.3)
-        op = block_prior_precision(
-            5, 4, CrossStrataStructure(kind="exchangeable", rho=0.3), tau=1.7
-        )
-        dense = np.kron(np.linalg.inv(sigma), 1.7 * np.eye(5))
-        v = rng.normal(size=20)
-        assert op.quad_form(v) == pytest.approx(v @ dense @ v, abs=1e-10)
-        assert np.allclose(op.matvec(v), dense @ v, atol=1e-10)
-        assert np.allclose(op.dense(), dense, atol=1e-10)
-
-    def test_logdet_kronecker_identity(self):
-        sigma = exchangeable_corr(3, 0.4)
-        op = block_prior_precision(
-            6, 3, CrossStrataStructure(kind="exchangeable", rho=0.4), tau=0.9
-        )
-        sign, logdet_sigma_inv = np.linalg.slogdet(np.linalg.inv(sigma))
-        expected = 6 * logdet_sigma_inv + 6 * 3 * np.log(0.9)
-        assert op.logdet() == pytest.approx(expected, abs=1e-10)
-
-    def test_sample_covariance(self, rng):
-        op = block_prior_precision(
-            2, 3, CrossStrataStructure(kind="exchangeable", rho=0.5), tau=1.0
-        )
-        draws = np.array([op.sample(rng) for _ in range(40000)])
-        cov = np.cov(draws.T)
-        target = np.linalg.inv(op.dense())
-        assert np.max(np.abs(cov - target)) < 0.05
 
 
 class TestRW2Equivalence:

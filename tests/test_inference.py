@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy import stats as sstats
 
 from stratapc.core import GridSpec
-from stratapc.covariance import AdjacencyGraph, CrossStrataStructure
+from stratapc.covariance import (
+    AdjacencyGraph,
+    CrossStrataStructure,
+    bym2_corr,
+    exchangeable_corr,
+    icar_precision,
+    scaled_generalized_inverse,
+)
 from stratapc.data import simulate_dataset
 from stratapc.inference import (
+    BLOCKS,
     GaussianPseudoLikelihood,
     HyperParameters,
     ModeError,
@@ -20,6 +29,7 @@ from stratapc.inference import (
     flatten_cells,
     laplace_log_marginal,
     optimize_hyperparameters,
+    pattern_names,
     poisson_loglik,
     sample_posterior,
     unflatten_cells,
@@ -190,6 +200,100 @@ class TestPoissonLoglik:
         ll2, grad2, _ = poisson_loglik(xi, model, ds_same)
         assert ll == pytest.approx(ll2, rel=1e-13)
         assert np.allclose(grad, grad2, atol=1e-12)
+
+
+def ring_graph(n_strata):
+    return AdjacencyGraph.from_edges(n_strata, [(i, (i + 1) % n_strata) for i in range(n_strata)])
+
+
+def prior_candidates():
+    """Every grid candidate at R = 3 and 5 (bym2 on a ring), plus M1 at R = 1."""
+    out = [(1, "M1", "independent")]
+    for r in (3, 5):
+        for name in pattern_names():
+            kinds = ("independent",) if name == "M1" else ("independent", "exchangeable", "bym2")
+            out.extend((r, name, kind) for kind in kinds)
+    return out
+
+
+def prior_model(n_strata, pattern, kind, grid=None):
+    graph = ring_graph(n_strata) if kind == "bym2" else None
+    structure = CrossStrataStructure(kind=kind, graph=graph)
+    return assemble_model(grid or GridSpec(5, 6), n_strata, pattern, structure)
+
+
+def off_default_eta(model):
+    """Hyperparameters away from the defaults, so every rho is nonzero."""
+    x = model.eta_to_vector(model.default_eta())
+    x = x + np.random.default_rng(3).normal(scale=0.7, size=x.shape)
+    return model.eta_from_vector(x)
+
+
+def cross_strata_cov(model, rho):
+    kind, r = model.structure.kind, model.n_strata
+    if kind == "exchangeable":
+        return exchangeable_corr(r, rho)
+    if kind == "bym2":
+        return bym2_corr(rho, scaled_generalized_inverse(icar_precision(model.structure.graph)))
+    return np.eye(r)
+
+
+class TestLatentPrior:
+    @pytest.mark.parametrize(
+        "n_strata,pattern,kind", prior_candidates(), ids=str
+    )
+    def test_blocks_are_kronecker_precisions(self, n_strata, pattern, kind):
+        model = prior_model(n_strata, pattern, kind)
+        eta = off_default_eta(model)
+        prior = model.latent_prior(eta)
+        blocks, means = [], []
+        for name in BLOCKS:
+            _, length, shared = model.blocks[name]
+            if shared and name == "baseline":
+                baseline = model.prior_config.baseline_mean
+                blocks.append(np.diag(1.0 / baseline.variances))
+                means.append(baseline.mean)
+            elif shared:
+                blocks.append(eta.taus[name] * np.eye(length))
+                means.append(np.zeros(length))
+            else:
+                sigma = cross_strata_cov(model, eta.rhos.get(name))
+                blocks.append(np.kron(np.linalg.inv(sigma), eta.taus[name] * np.eye(length)))
+                means.append(
+                    np.tile(eta.nu0, n_strata) if name == "baseline"
+                    else np.zeros(length * n_strata)
+                )
+        expected = sla.block_diag(*blocks)
+        scale = np.max(np.abs(expected))
+        assert np.allclose(prior.precision, expected, rtol=1e-10, atol=1e-12 * scale)
+        assert np.array_equal(prior.mean, np.concatenate(means))
+
+    @pytest.mark.parametrize(
+        "n_strata,pattern,kind", prior_candidates(), ids=str
+    )
+    def test_logdet_matches_dense(self, n_strata, pattern, kind):
+        model = prior_model(n_strata, pattern, kind)
+        prior = model.latent_prior(off_default_eta(model))
+        sign, logdet = np.linalg.slogdet(prior.precision)
+        assert sign == 1.0
+        assert prior.logdet == pytest.approx(logdet, rel=1e-10, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["exchangeable", "bym2"])
+    def test_draw_covariance_matches_precision(self, kind):
+        model = prior_model(3, "M6", kind, grid=GridSpec(4, 4))
+        eta = HyperParameters(
+            taus={b: 1.0 for b in BLOCKS},
+            rhos={b: 0.6 for b in BLOCKS},
+            nu0=np.array([-4.0, 0.5, -0.5]),
+        )
+        prior = model.latent_prior(eta)
+        rng = np.random.default_rng(11)
+        draws = np.array([model.sample_latent_prior(eta, rng) for _ in range(20000)])
+        target = np.linalg.inv(prior.precision)
+        sd = np.sqrt(np.diag(target))
+        cov = np.cov(draws.T)
+        assert np.max(np.abs(cov - target) / np.outer(sd, sd)) < 0.05
+        assert np.max(np.abs(draws.mean(axis=0) - prior.mean) / sd) < 0.05
 
 
 class TestConditionalMode:

@@ -180,7 +180,7 @@ class TestHyperpriorLogpdf:
         model = self._model()
         pm = model.prior_model
         taus = {b: 1.0 / pm.rates[b] for b in pm.tau_blocks}
-        with_rho = pm.logpdf(
+        at_zero = pm.logpdf(
             HyperParameters(taus=taus, rhos={b: 0.0 for b in pm.rho_blocks})
         )
         tau_part = sum(np.log(pm.rates[b]) - 1.0 for b in pm.tau_blocks)
@@ -188,7 +188,7 @@ class TestHyperpriorLogpdf:
         rho_part = len(pm.rho_blocks) * (
             -0.5 * np.log(2 * np.pi * 5.0) + np.log(model.n_strata)
         )
-        assert with_rho == pytest.approx(tau_part + rho_part, abs=1e-12)
+        assert at_zero == pytest.approx(tau_part + rho_part, abs=1e-12)
 
     def test_additive_over_components(self, rng):
         model = self._model(pattern="M6")
