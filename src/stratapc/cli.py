@@ -50,6 +50,13 @@ class UsageError(ValueError):
     pass
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratapc",
@@ -57,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p, data_required=True):
+    def io_args(p):
         p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--data", required=data_required, help="long-format series CSV")
+        p.add_argument("--data", required=True, help="long-format series CSV")
         p.add_argument("--graph", help="adjacency CSV (from,to[,augmented])")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=_seed, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
 
     pattern_arg = {"type": str.upper, "choices": pattern_names()}
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["independent", "exchangeable"])
     p.add_argument("--exposure", type=float, default=1e5)
     p.add_argument("--missing", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--emit-graph", action="store_true",
                    help="also write a ring adjacency over the strata")
 
@@ -128,24 +135,13 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
     """The run configuration, the aggregated data, the fit settings every
     subcommand fits with, and the provenance block of the outputs."""
     config = RunConfig.from_file(args.config)
-    seed = args.seed if getattr(args, "seed", None) is not None else config.seed
+    seed = config.fit.seed if args.seed is None else args.seed
     raw = read_series_csv(args.data)
     dataset, agg_report = aggregate(raw, config.window)
     graph = None
-    if getattr(args, "graph", None):
+    if args.graph:
         graph, _ = load_graph(args.graph, strata=dataset.strata)
-    fit_config = GridConfig(
-        patterns=config.models,
-        structures=config.structures,
-        graph=graph,
-        prior_config=config.prior_config,
-        baseline_spec=config.baseline_spec,
-        n_samples=config.n_samples,
-        seed=seed,
-        budget=config.budget,
-        rel_tol=config.rel_tol,
-        eta_grid=config.eta_grid,
-    )
+    fit_config = dataclasses.replace(config.fit, seed=seed, graph=graph)
     meta = {
         "provenance": provenance(config.canonical_dict(), seed),
         "aggregation": {
@@ -335,7 +331,10 @@ def _cmd_grid(args) -> int:
     _, dataset, fit_config, meta = _load(args)
     models = _subset("--models", args.models, pattern_names(), fit_config.patterns)
     structures = _subset("--structures", args.structures, STRUCTURES, fit_config.structures)
-    if fit_config.graph is None:
+    if args.structures:
+        for kind in structures:
+            _check_structure(kind, fit_config)
+    elif fit_config.graph is None:
         structures = tuple(s for s in structures if s != "bym2")
     out = _outdir(args.out)
     grid_config = dataclasses.replace(

@@ -1,19 +1,22 @@
 """Run configuration: a single JSON document covering the aggregation
-window, baseline placement, prior settings, model-grid selection, seeds and
-solver tolerances."""
+window and the settings every fit runs with (baseline placement, priors,
+model-grid selection, seed and solver tolerances).  A key missing from the
+document takes the library default of ``PriorConfig`` and ``GridConfig``."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import BaselineSpec
+from .covariance import STRUCTURES
 from .data import GridWindow
+from .inference import pattern_names
 from .priors import BaselineMeanPrior, PriorConfig
+from .selection import GridConfig
 
 
 class ConfigError(ValueError):
@@ -24,22 +27,69 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-_DEFAULT_MODELS = ("M1", "M2", "M3", "M4", "M5", "M6")
-_DEFAULT_STRUCTURES = ("independent", "exchangeable", "bym2")
+def _boolean(value) -> bool:
+    if value not in (True, False):  # bool("false") would be True
+        raise ValueError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+# inference key -> (type, allowed range, the range in words)
+_INFERENCE = {
+    "n_samples": (int, lambda v: v >= 2, "at least 2"),
+    "budget": (int, lambda v: v >= 1, "at least 1"),
+    "rel_tol": (float, lambda v: 0.0 < v < np.inf, "finite and above 0"),
+    "eta_grid": (_boolean, lambda v: True, ""),
+}
+
+
+def _setting(section: dict, key: str, name: str, cast, ok, need: str):
+    try:
+        value = cast(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(name, str(exc)) from exc
+    if not ok(value):
+        raise ConfigError(name, f"must be {need}, got {value!r}")
+    return value
+
+
+def _names(raw: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
+    names = raw[key]
+    if not isinstance(names, list):
+        raise ConfigError(key, f"expected a list of names, got {names!r}")
+    for n in names:
+        if n not in known:
+            raise ConfigError(key, f"unknown name {n!r}; use {', '.join(known)}")
+    return tuple(names)
+
+
+def _prior_config(p: dict) -> PriorConfig:
+    default = PriorConfig()
+    try:
+        return PriorConfig(
+            epsilons={
+                block: float(p.get(f"epsilon_{block}", eps))
+                for block, eps in default.epsilons.items()
+            },
+            q=float(p.get("q", default.q)),
+            baseline_mean=BaselineMeanPrior(
+                mean=p.get("nu0_mean", default.baseline_mean.mean),
+                variances=p.get("nu0_variances", default.baseline_mean.variances),
+            ),
+            exchangeable_variance=float(
+                p.get("exchangeable_variance", default.exchangeable_variance)
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("priors", str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The aggregation window and the one ``GridConfig`` every fit runs
+    with (no graph: that comes from ``--graph``)."""
+
     window: GridWindow
-    baseline_spec: BaselineSpec | None = None
-    prior_config: PriorConfig = field(default_factory=PriorConfig)
-    models: tuple[str, ...] = _DEFAULT_MODELS
-    structures: tuple[str, ...] = _DEFAULT_STRUCTURES
-    seed: int = 0
-    n_samples: int = 1000
-    budget: int = 2000
-    rel_tol: float = 1e-6
-    eta_grid: bool = False
+    fit: GridConfig
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -47,13 +97,7 @@ class RunConfig:
             raise ConfigError("grid", "missing aggregation window")
         g = raw["grid"]
         try:
-            window = GridWindow(
-                age_start=int(g["age_start"]),
-                age_end=int(g["age_end"]),
-                year_start=int(g["year_start"]),
-                year_end=int(g["year_end"]),
-                bin_width=int(g["bin_width"]),
-            )
+            window = GridWindow(**{f.name: int(g[f.name]) for f in fields(GridWindow)})
         except KeyError as exc:
             raise ConfigError(f"grid.{exc.args[0]}", "missing") from exc
         except ValueError as exc:
@@ -71,49 +115,24 @@ class RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("baseline", str(exc)) from exc
 
-        p = raw.get("priors", {})
-        try:
-            epsilons = {
-                "age": float(p.get("epsilon_age", np.log(1.2))),
-                "period": float(p.get("epsilon_period", np.log(1.1))),
-                "cohort": float(p.get("epsilon_cohort", np.log(1.01))),
-                "baseline": float(p.get("epsilon_baseline", np.log(1.05))),
-            }
-            baseline_mean = BaselineMeanPrior(
-                mean=np.asarray(p.get("nu0_mean", [np.log(0.005), 0.3, -0.1]), dtype=float),
-                variances=np.asarray(p.get("nu0_variances", [1.0, 0.1, 0.1]), dtype=float),
-            )
-            prior_config = PriorConfig(
-                epsilons=epsilons,
-                q=float(p.get("q", 0.05)),
-                baseline_mean=baseline_mean,
-                exchangeable_variance=float(p.get("exchangeable_variance", 5.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError("priors", str(exc)) from exc
-
-        models = tuple(raw.get("models", _DEFAULT_MODELS))
-        for m in models:
-            if m not in _DEFAULT_MODELS:
-                raise ConfigError("models", f"unknown model {m!r}")
-        structures = tuple(raw.get("structures", _DEFAULT_STRUCTURES))
-        for s in structures:
-            if s not in _DEFAULT_STRUCTURES:
-                raise ConfigError("structures", f"unknown structure {s!r}")
-
         inf = raw.get("inference", {})
-        return cls(
-            window=window,
+        settings = {
+            key: _setting(inf, key, f"inference.{key}", *rule)
+            for key, rule in _INFERENCE.items()
+            if key in inf
+        }
+        if "seed" in raw:
+            settings["seed"] = _setting(raw, "seed", "seed", int, lambda v: v >= 0, "at least 0")
+        if "models" in raw:
+            settings["patterns"] = _names(raw, "models", pattern_names())
+        if "structures" in raw:
+            settings["structures"] = _names(raw, "structures", STRUCTURES)
+        fit = GridConfig(
+            prior_config=_prior_config(raw.get("priors", {})),
             baseline_spec=baseline_spec,
-            prior_config=prior_config,
-            models=models,
-            structures=structures,
-            seed=int(raw.get("seed", 0)),
-            n_samples=int(inf.get("n_samples", 1000)),
-            budget=int(inf.get("budget", 2000)),
-            rel_tol=float(inf.get("rel_tol", 1e-6)),
-            eta_grid=bool(inf.get("eta_grid", False)),
+            **settings,
         )
+        return cls(window=window, fit=fit)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -125,44 +144,20 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def canonical_dict(self) -> dict:
-        w = self.window
-        out = {
-            "grid": {
-                "age_start": w.age_start,
-                "age_end": w.age_end,
-                "year_start": w.year_start,
-                "year_end": w.year_end,
-                "bin_width": w.bin_width,
-            },
-            "baseline": None,
+        fit = self.fit
+        prior = fit.prior_config
+        return {
+            "grid": asdict(self.window),
+            "baseline": None if fit.baseline_spec is None else asdict(fit.baseline_spec),
             "priors": {
-                "epsilon_age": self.prior_config.epsilons["age"],
-                "epsilon_period": self.prior_config.epsilons["period"],
-                "epsilon_cohort": self.prior_config.epsilons["cohort"],
-                "epsilon_baseline": self.prior_config.epsilons["baseline"],
-                "q": self.prior_config.q,
-                "nu0_mean": self.prior_config.baseline_mean.mean.tolist(),
-                "nu0_variances": self.prior_config.baseline_mean.variances.tolist(),
-                "exchangeable_variance": self.prior_config.exchangeable_variance,
+                **{f"epsilon_{block}": eps for block, eps in prior.epsilons.items()},
+                "q": prior.q,
+                "nu0_mean": prior.baseline_mean.mean.tolist(),
+                "nu0_variances": prior.baseline_mean.variances.tolist(),
+                "exchangeable_variance": prior.exchangeable_variance,
             },
-            "models": list(self.models),
-            "structures": list(self.structures),
-            "inference": {
-                "n_samples": self.n_samples,
-                "budget": self.budget,
-                "rel_tol": self.rel_tol,
-                "eta_grid": self.eta_grid,
-            },
-            "seed": self.seed,
+            "models": list(fit.patterns),
+            "structures": list(fit.structures),
+            "inference": {key: getattr(fit, key) for key in _INFERENCE},
+            "seed": fit.seed,
         }
-        if self.baseline_spec is not None:
-            out["baseline"] = {
-                "coordinates": self.baseline_spec.coordinates,
-                "form": self.baseline_spec.form,
-                "triple": [list(p) for p in self.baseline_spec.triple],
-            }
-        return out
-
-    def hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 import scipy.linalg as sla
 
 StructureKind = Literal["independent", "exchangeable", "bym2"]
+STRUCTURES: tuple[StructureKind, ...] = get_args(StructureKind)
 
 # relative eigenvalue cutoff for the ICAR null space
 _NULL_EIG_RTOL = 1e-10
@@ -95,7 +96,7 @@ class CrossStrataStructure:
     graph: AdjacencyGraph | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("independent", "exchangeable", "bym2"):
+        if self.kind not in STRUCTURES:
             raise ValueError(f"unknown structure kind {self.kind!r}")
         if self.kind == "bym2" and self.graph is None:
             raise ValueError("bym2 structure requires an adjacency graph")

@@ -173,10 +173,6 @@ class MortalityDataset:
     def n_strata(self) -> int:
         return len(self.strata)
 
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed.sum())
-
 
 class PoissonLikelihood:
     """Poisson likelihood on the observed cells, flattened to the model's
@@ -277,10 +273,6 @@ class LatentModel:
 
     # ------------------------------------------------------------------
     # design application
-
-    @property
-    def design_matrix(self) -> np.ndarray:
-        return self.parts.matrix
 
     @property
     def n_cells(self) -> int:
@@ -618,8 +610,6 @@ class ModeResult:
     hessian: np.ndarray
     chol: np.ndarray            # lower Cholesky factor of the Hessian
     objective: float            # loglik + latent log prior at the mode
-    loglik: float
-    prior_logpdf: float
     n_iter: int
     converged: bool
 
@@ -702,14 +692,11 @@ def conditional_mode(
     chol = _chol_with_jitter(hessian)
     if chol is None:
         raise ModeError("Hessian factorization failed at the mode", last=xi)
-    prior_val = prior.logpdf(xi)
     return ModeResult(
         xi=xi,
         hessian=hessian,
         chol=chol,
-        objective=ll + prior_val,
-        loglik=ll,
-        prior_logpdf=prior_val,
+        objective=ll + prior.logpdf(xi),
         n_iter=n_iter,
         converged=True,
     )
@@ -855,7 +842,6 @@ class PosteriorFit:
     model: LatentModel
     eta_hat: HyperParameters
     latent_mean: np.ndarray
-    latent_chol: np.ndarray
     samples: np.ndarray           # (n, free_dim)
     lograte_samples: np.ndarray   # (n, R * cells)
     log_marginal: float
@@ -938,7 +924,6 @@ def sample_posterior(
         model=model,
         eta_hat=eta_hat,
         latent_mean=mode.xi,
-        latent_chol=mode.chol,
         samples=samples,
         lograte_samples=model.logrates_samples(samples),
         log_marginal=float(log_marginal),

@@ -86,6 +86,15 @@ class BaselineMeanPrior:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variances", var)
 
+    def __eq__(self, other) -> bool:
+        """Equal means and variances; the generated ``__eq__`` cannot
+        compare array fields."""
+        return (
+            isinstance(other, BaselineMeanPrior)
+            and np.array_equal(self.mean, other.mean)
+            and np.array_equal(self.variances, other.variances)
+        )
+
     def logpdf(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         z2 = (x - self.mean) ** 2 / self.variances

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import logsumexp
 
-from .covariance import AdjacencyGraph, CrossStrataStructure
+from .covariance import STRUCTURES, AdjacencyGraph, CrossStrataStructure
 from .core import BaselineSpec
 from .inference import (
     LatentModel,
@@ -31,8 +31,6 @@ from .inference import (
     pattern_names,
 )
 from .priors import PriorConfig
-
-STRUCTURES = ("independent", "exchangeable", "bym2")
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ class GridConfig:
     sixteen-candidate grid when a graph is available."""
 
     patterns: tuple[str, ...] = field(default_factory=pattern_names)
-    structures: tuple[str, ...] = ("independent", "exchangeable", "bym2")
+    structures: tuple[str, ...] = STRUCTURES
     graph: AdjacencyGraph | None = None
     prior_config: PriorConfig = field(default_factory=PriorConfig)
     baseline_spec: BaselineSpec | None = None

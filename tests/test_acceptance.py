@@ -286,7 +286,7 @@ def test_criterion_5_inference():
     design = np.zeros((model_g.n_cells, model_g.free_dim))
     cells = grid.n_cells
     for r in range(model_g.n_strata):
-        design[r * cells : (r + 1) * cells, model_g.col_index[r]] = model_g.design_matrix
+        design[r * cells : (r + 1) * cells, model_g.col_index[r]] = model_g.parts.matrix
     marg_cov = sigma2 * np.eye(model_g.n_cells) + design @ np.linalg.inv(prior_g.precision) @ design.T
     closed = sstats.multivariate_normal(mean=design @ prior_g.mean, cov=marg_cov).logpdf(z)
     closed += model_g.prior_model.logpdf(eta_g)

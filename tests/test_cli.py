@@ -5,6 +5,8 @@ import pytest
 
 from stratapc import selection
 from stratapc.cli import main
+from stratapc.core import BaselineSpec
+from stratapc.priors import BaselineMeanPrior, PriorConfig
 from stratapc.report import read_csv
 
 
@@ -230,7 +232,7 @@ class TestFitSettings:
         ids=lambda c: c[0],
     )
     def test_config_settings_reach_fit_model(self, sim_dir, tmp_path, monkeypatch, command):
-        calls = record_fit_calls(monkeypatch)
+        calls = record_calls(monkeypatch)
         cfg = fast_config(tmp_path / "config.json", {"inference": self.SETTINGS})
         io = ["--config", str(cfg), "--data", str(sim_dir / "data.csv"),
               "--out", str(tmp_path / "out")]
@@ -238,16 +240,59 @@ class TestFitSettings:
         assert len(calls) == 1
         assert {k: calls[0].get(k) for k in self.SETTINGS} == self.SETTINGS
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", *MODEL],
+            ["grid", "--models", "M4", "--structures", "independent"],
+            ["prior-check", *MODEL, "--sims", "10"],
+            ["hindcast", *MODEL, "--mask-stratum", "s1", "--mask-year-from", "0",
+             "--mask-year-to", "3"],
+            ["rr", *MODEL, "--block", "period", "--r1", "s0", "--r2", "s2"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_config_priors_and_baseline_reach_assemble_model(
+        self, sim_dir, tmp_path, monkeypatch, command
+    ):
+        calls = record_calls(monkeypatch, "assemble_model")
+        cfg = fast_config(
+            tmp_path / "config.json",
+            {
+                "inference": self.SETTINGS,
+                "priors": {"epsilon_period": 0.2, "q": 0.1, "nu0_mean": [-5.0, 0.2, 0.0],
+                           "exchangeable_variance": 3.0},
+                "baseline": {"coordinates": "age-period", "triple": [[2, 2], [3, 2], [2, 3]]},
+            },
+        )
+        io = ["--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+              "--out", str(tmp_path / "out")]
+        assert main([command[0], *io, *command[1:]]) == 0
+        default = PriorConfig()
+        expected_prior = PriorConfig(
+            epsilons={**default.epsilons, "period": 0.2},
+            q=0.1,
+            baseline_mean=BaselineMeanPrior(
+                mean=np.array([-5.0, 0.2, 0.0]), variances=default.baseline_mean.variances
+            ),
+            exchangeable_variance=3.0,
+        )
+        expected_spec = BaselineSpec("age-period", ((2, 2), (3, 2), (2, 3)), "point-plus-two-slopes")
+        assert len(calls) == 1
+        assert calls[0]["prior_config"] == expected_prior
+        assert calls[0]["baseline_spec"] == expected_spec
 
-def record_fit_calls(monkeypatch) -> list:
+
+def record_calls(monkeypatch, name: str = "fit_model") -> list:
+    """The keyword arguments of every call to ``selection.<name>``."""
     calls = []
-    real = selection.fit_model
+    real = getattr(selection, name)
 
     def recording(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(selection, "fit_model", recording)
+    monkeypatch.setattr(selection, name, recording)
     return calls
 
 
@@ -289,7 +334,7 @@ class TestUsage:
     def test_grid_unknown_names_rejected_before_fitting(
         self, sim_dir, tmp_path, monkeypatch, capsys
     ):
-        calls = record_fit_calls(monkeypatch)
+        calls = record_calls(monkeypatch)
         cfg = fast_config(tmp_path / "config.json")
         out = tmp_path / "grid"
         rc = main(
@@ -308,7 +353,7 @@ class TestUsage:
     def test_hindcast_too_few_samples_rejected_before_fitting(
         self, sim_dir, tmp_path, monkeypatch, capsys
     ):
-        calls = record_fit_calls(monkeypatch)
+        calls = record_calls(monkeypatch)
         cfg = fast_config(tmp_path / "config.json", {"inference": {"n_samples": 60}})
         rc = main(
             [
@@ -322,3 +367,36 @@ class TestUsage:
         assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_samples" in err
+
+    FIT = ["fit", "--pattern", "M4", "--structure", "independent"]
+
+    @pytest.mark.parametrize(
+        "config, command, field",
+        [
+            ({"inference": {"n_samples": 1}}, FIT, "inference.n_samples"),
+            ({"inference": {"n_samples": -5}}, FIT, "inference.n_samples"),
+            ({"inference": {"budget": 0}}, FIT, "inference.budget"),
+            ({"inference": {"rel_tol": -1}}, FIT, "inference.rel_tol"),
+            ({"inference": {"rel_tol": float("inf")}}, FIT, "inference.rel_tol"),
+            ({"seed": -1}, FIT, "seed"),
+            ({}, [*FIT, "--seed", "-1"], "--seed"),
+            ({}, ["grid", "--structures", "bym2"], "bym2"),
+            ({}, ["grid", "--structures", "independent,bym2"], "bym2"),
+        ],
+        ids=[
+            "n_samples=1", "n_samples=-5", "budget=0", "rel_tol=-1", "rel_tol=inf",
+            "seed=-1", "--seed=-1", "grid-bym2-no-graph", "grid-bym2-among-others",
+        ],
+    )
+    def test_bad_setting_rejected_before_fitting(
+        self, sim_dir, tmp_path, monkeypatch, capsys, config, command, field
+    ):
+        calls = record_calls(monkeypatch)
+        cfg = fast_config(tmp_path / "config.json", config)
+        out = tmp_path / "out"
+        io = ["--config", str(cfg), "--data", str(sim_dir / "data.csv"), "--out", str(out)]
+        assert main([command[0], *io, *command[1:]]) == 1
+        assert calls == []
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert any("error:" in line and field in line for line in err.splitlines()), err

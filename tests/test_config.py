@@ -1,0 +1,110 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from stratapc.config import ConfigError, RunConfig
+from stratapc.core import BaselineSpec
+from stratapc.priors import BaselineMeanPrior, PriorConfig
+from stratapc.report import provenance
+from stratapc.selection import GridConfig
+
+# the example configuration of the README's "Config JSON" section
+README_CONFIG = {
+    "grid": {"age_start": 0, "age_end": 80, "year_start": 1925,
+             "year_end": 2015, "bin_width": 5},
+    "baseline": {"coordinates": "age-cohort", "form": "point-plus-two-slopes",
+                 "triple": [[9, 9], [10, 9], [9, 10]]},
+    "priors": {"epsilon_age": 0.1823, "epsilon_period": 0.0953,
+               "epsilon_cohort": 0.00995, "epsilon_baseline": 0.0488,
+               "q": 0.05, "nu0_mean": [-5.2983, 0.3, -0.1],
+               "nu0_variances": [1.0, 0.1, 0.1],
+               "exchangeable_variance": 5.0},
+    "models": ["M1", "M2", "M3", "M4", "M5", "M6"],
+    "structures": ["independent", "exchangeable", "bym2"],
+    "inference": {"n_samples": 1000, "budget": 2000, "rel_tol": 1e-6,
+                  "eta_grid": False},
+    "seed": 20240801,
+}
+GRID_ONLY = {"grid": README_CONFIG["grid"]}
+
+
+def config_hash(raw: dict) -> str:
+    return provenance(RunConfig.from_dict(raw).canonical_dict(), 0)["config_hash"]
+
+
+class TestCanonicalHash:
+    # pinned so the provenance of earlier outputs stays comparable
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (README_CONFIG, "d941566874ec2dae996032215a3ac9e3451307456615be4ddffc0a11a247a340"),
+            (GRID_ONLY, "6146dbf20fbcf9aa2e35105b98d9873e8c35b4ca37e4db7f9321aa13e5845f21"),
+        ],
+        ids=["readme", "grid-only"],
+    )
+    def test_hash_pinned(self, raw, expected):
+        assert config_hash(raw) == expected
+
+    @pytest.mark.parametrize("raw", [README_CONFIG, GRID_ONLY], ids=["readme", "grid-only"])
+    def test_canonical_dict_round_trips(self, raw):
+        canonical = RunConfig.from_dict(raw).canonical_dict()
+        assert RunConfig.from_dict(canonical).canonical_dict() == canonical
+
+
+class TestDefaults:
+    def test_missing_keys_take_library_defaults(self):
+        assert RunConfig.from_dict(GRID_ONLY).fit == GridConfig()
+
+    def test_partial_priors_keep_other_defaults(self):
+        raw = {**GRID_ONLY, "priors": {"epsilon_age": 0.2, "q": 0.1, "nu0_mean": [-5, 0, 0]}}
+        default = PriorConfig()
+        expected = dataclasses.replace(
+            default,
+            epsilons={**default.epsilons, "age": 0.2},
+            q=0.1,
+            baseline_mean=BaselineMeanPrior(
+                mean=np.array([-5.0, 0.0, 0.0]), variances=default.baseline_mean.variances
+            ),
+        )
+        assert RunConfig.from_dict(raw).fit.prior_config == expected
+
+    def test_readme_config_fields(self):
+        fit = RunConfig.from_dict(README_CONFIG).fit
+        assert fit.baseline_spec == BaselineSpec(
+            "age-cohort", ((9, 9), (10, 9), (9, 10)), "point-plus-two-slopes"
+        )
+        assert fit.patterns == tuple(README_CONFIG["models"])
+        assert fit.seed == 20240801
+        assert fit.graph is None and fit.workers == 1
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"inference": {"n_samples": 1}}, "inference.n_samples"),
+            ({"inference": {"budget": 0}}, "inference.budget"),
+            ({"inference": {"budget": "many"}}, "inference.budget"),
+            ({"inference": {"rel_tol": 0.0}}, "inference.rel_tol"),
+            ({"inference": {"rel_tol": float("inf")}}, "inference.rel_tol"),
+            ({"inference": {"rel_tol": float("nan")}}, "inference.rel_tol"),
+            ({"inference": {"eta_grid": "false"}}, "inference.eta_grid"),
+            ({"seed": -1}, "seed"),
+            ({"models": ["M9"]}, "models"),
+            ({"models": "M1"}, "models"),
+            ({"structures": ["bogus"]}, "structures"),
+            ({"priors": {"nu0_variances": [1.0, 0.0, 1.0]}}, "priors"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_out_of_range_names_field(self, raw, field):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**GRID_ONLY, **raw})
+        assert err.value.field == field
+
+    def test_smallest_allowed_values(self):
+        raw = {**GRID_ONLY, "inference": {"n_samples": 2, "budget": 1, "rel_tol": 1e-300},
+               "seed": 0}
+        fit = RunConfig.from_dict(raw).fit
+        assert (fit.n_samples, fit.budget, fit.rel_tol, fit.seed) == (2, 1, 1e-300, 0)

@@ -94,7 +94,7 @@ class TestAssembly:
         model = assemble_model(GridSpec(4, 5), 3, "M4", "independent")
         xi = rng.normal(size=model.free_dim)
         mu = model.logrates_matrix(xi)
-        m = model.design_matrix
+        m = model.parts.matrix
         for r in range(3):
             assert np.allclose(mu[r], m @ xi[model.col_index[r]], atol=1e-12)
 
@@ -330,7 +330,7 @@ class TestConditionalMode:
         mode = conditional_mode(model, eta, ds)
 
         # independent IRLS oracle on the same design
-        m = model.design_matrix
+        m = model.parts.matrix
         y = flatten_cells(ds.counts)
         n = flatten_cells(ds.exposures)
         beta = np.zeros(m.shape[1])
@@ -387,7 +387,7 @@ class TestLaplace:
         value = laplace_log_marginal(model, eta, likelihood=lik)
 
         design = np.zeros((model.n_cells, model.free_dim))
-        m = model.design_matrix
+        m = model.parts.matrix
         cells = grid.n_cells
         for r in range(model.n_strata):
             design[r * cells : (r + 1) * cells, model.col_index[r]] = m

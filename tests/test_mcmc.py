@@ -54,7 +54,7 @@ class TestGaussianConjugate:
         design = np.zeros((model.n_cells, model.free_dim))
         cells = grid.n_cells
         for r in range(model.n_strata):
-            design[r * cells : (r + 1) * cells, model.col_index[r]] = model.design_matrix
+            design[r * cells : (r + 1) * cells, model.col_index[r]] = model.parts.matrix
         post_prec = prior.precision + design.T @ design / sigma2
         post_cov = np.linalg.inv(post_prec)
         post_mean = post_cov @ (prior.precision @ prior.mean + design.T @ z / sigma2)
