@@ -1,9 +1,6 @@
 """Identifiable stratified age-period-cohort models for event-count surfaces."""
 
 from ._threads import pin_blas_threads
-
-pin_blas_threads()
-
 from .core import (
     APCEffects,
     BaselineSpec,
@@ -54,5 +51,9 @@ from .priors import (
     sample_prior_predictive,
 )
 from .selection import GridConfig, fit_grid, waic
+
+# After the imports above, so that scipy's OpenBLAS (loaded with
+# ``scipy.linalg`` by ``inference``) is mapped and gets pinned too.
+pin_blas_threads()
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Subcommands: ``simulate`` (synthetic data generator), ``fit`` (one model),
 ``grid`` (the full model grid with WAIC), ``prior-check`` (prior-predictive
 summary), ``hindcast`` (masked-cell prediction with PIT), and ``rr``
 (cross-strata relative-risk curves).  Outputs are CSV tables and JSON
-summaries with provenance (config hash, seed, versions); exit status is 0 on
-success, 1 on usage errors, 2 on numerical failures.
+summaries with provenance (config hash, seed, versions, cores and BLAS
+threads); exit status is 0 on success, 1 on usage errors, 2 on numerical
+failures.
 """
 
 from __future__ import annotations

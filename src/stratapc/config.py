@@ -33,20 +33,34 @@ def _boolean(value) -> bool:
     return bool(value)
 
 
+def _integer(value) -> int:
+    """A whole number, also when written as ``1000.0``; int() would take
+    ``true`` as 1 and truncate 2.9 to 2."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # inference key -> (type, allowed range, the range in words)
 _INFERENCE = {
-    "n_samples": (int, lambda v: v >= 2, "at least 2"),
-    "budget": (int, lambda v: v >= 1, "at least 1"),
+    "n_samples": (_integer, lambda v: v >= 2, "at least 2"),
+    "budget": (_integer, lambda v: v >= 1, "at least 1"),
     "rel_tol": (float, lambda v: 0.0 < v < np.inf, "finite and above 0"),
     "eta_grid": (_boolean, lambda v: True, ""),
 }
 
 
-def _setting(section: dict, key: str, name: str, cast, ok, need: str):
+def _cast(name: str, cast, value):
     try:
-        value = cast(section[key])
+        return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(name, str(exc)) from exc
+
+
+def _setting(section: dict, key: str, name: str, cast, ok, need: str):
+    value = _cast(name, cast, section[key])
     if not ok(value):
         raise ConfigError(name, f"must be {need}, got {value!r}")
     return value
@@ -96,12 +110,15 @@ class RunConfig:
         if "grid" not in raw:
             raise ConfigError("grid", "missing aggregation window")
         g = raw["grid"]
+        bounds = {}
+        for f in fields(GridWindow):
+            if f.name not in g:
+                raise ConfigError(f"grid.{f.name}", "missing")
+            bounds[f.name] = _cast(f"grid.{f.name}", _integer, g[f.name])
         try:
-            window = GridWindow(**{f.name: int(g[f.name]) for f in fields(GridWindow)})
-        except KeyError as exc:
-            raise ConfigError(f"grid.{exc.args[0]}", "missing") from exc
+            window = GridWindow(**bounds)
         except ValueError as exc:
-            raise ConfigError("grid.bin_width", str(exc)) from exc
+            raise ConfigError("grid", str(exc)) from exc
 
         baseline_spec = None
         if raw.get("baseline"):
@@ -109,7 +126,7 @@ class RunConfig:
             try:
                 baseline_spec = BaselineSpec(
                     coordinates=b.get("coordinates", "age-cohort"),
-                    triple=tuple(tuple(int(x) for x in pair) for pair in b["triple"]),
+                    triple=tuple(tuple(_integer(x) for x in pair) for pair in b["triple"]),
                     form=b.get("form", "point-plus-two-slopes"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -122,7 +139,9 @@ class RunConfig:
             if key in inf
         }
         if "seed" in raw:
-            settings["seed"] = _setting(raw, "seed", "seed", int, lambda v: v >= 0, "at least 0")
+            settings["seed"] = _setting(
+                raw, "seed", "seed", _integer, lambda v: v >= 0, "at least 0"
+            )
         if "models" in raw:
             settings["patterns"] = _names(raw, "models", pattern_names())
         if "structures" in raw:

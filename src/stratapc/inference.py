@@ -843,7 +843,6 @@ class PosteriorFit:
     eta_hat: HyperParameters
     latent_mean: np.ndarray
     samples: np.ndarray           # (n, free_dim)
-    lograte_samples: np.ndarray   # (n, R * cells)
     log_marginal: float
     seed: int
     converged: bool = True
@@ -852,6 +851,12 @@ class PosteriorFit:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+    @property
+    def lograte_samples(self) -> np.ndarray:
+        """(n, R * cells) log rates of the draws, computed on each read so
+        that a fit holds only its latent draws."""
+        return self.model.logrates_samples(self.samples)
 
     def lograte_cube(self) -> np.ndarray:
         """(n, R, A, T) view of the log-rate samples."""
@@ -875,7 +880,7 @@ def sample_posterior(
     grid_delta: float = 0.5,
 ) -> PosteriorFit:
     """Draw latent samples from the Gaussian approximation N(mode, H^-1) at
-    the plugged-in hyperparameters and map them to log rates.
+    the plugged-in hyperparameters; the fit maps them to log rates on read.
 
     With ``eta_grid`` enabled, an axial grid of hyperparameter points around
     the optimum is weighted by the Laplace objective and the draw becomes a
@@ -925,7 +930,6 @@ def sample_posterior(
         eta_hat=eta_hat,
         latent_mean=mode.xi,
         samples=samples,
-        lograte_samples=model.logrates_samples(samples),
         log_marginal=float(log_marginal),
         seed=seed,
         eta_grid=grid_info,

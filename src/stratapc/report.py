@@ -7,9 +7,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
+
+from ._threads import blas_threads
 
 
 def format_value(x) -> str:
@@ -68,6 +71,12 @@ def provenance(config_dict: dict | None, seed: int | None) -> dict:
             "stratapc": getattr(stratapc, "__version__", "unknown"),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+        },
+        "environment": {
+            "cores": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "openblas_threads": blas_threads(),
         },
     }
 

@@ -63,6 +63,9 @@ class TestFit:
         summary = json.loads((out / "fit.json").read_text())
         assert summary["converged"] is True
         assert np.isfinite(summary["waic"])
+        env = summary["provenance"]["environment"]
+        assert env["cores"] >= 1
+        assert set(env["openblas_threads"].values()) <= {1}  # the import-time pin
         header, rows = read_csv(out / "logrates.csv")
         assert len(rows) == 3 * 6 * 6
         assert (out / "age_curves.svg").exists()

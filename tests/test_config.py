@@ -95,6 +95,14 @@ class TestRanges:
             ({"models": "M1"}, "models"),
             ({"structures": ["bogus"]}, "structures"),
             ({"priors": {"nu0_variances": [1.0, 0.0, 1.0]}}, "priors"),
+            ({"inference": {"n_samples": 2.9}}, "inference.n_samples"),
+            ({"inference": {"budget": True}}, "inference.budget"),
+            ({"seed": 1.5}, "seed"),
+            ({"grid": {**GRID_ONLY["grid"], "age_start": "zero"}}, "grid.age_start"),
+            ({"grid": {**GRID_ONLY["grid"], "year_end": 2015.5}}, "grid.year_end"),
+            ({"grid": {**GRID_ONLY["grid"], "age_end": 81}}, "grid"),
+            ({"grid": {**GRID_ONLY["grid"], "bin_width": 0}}, "grid"),
+            ({"baseline": {"triple": [[9, 9], [10, 9.5], [9, 10]]}}, "baseline"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -108,3 +116,12 @@ class TestRanges:
                "seed": 0}
         fit = RunConfig.from_dict(raw).fit
         assert (fit.n_samples, fit.budget, fit.rel_tol, fit.seed) == (2, 1, 1e-300, 0)
+
+    def test_integral_floats_are_integers(self):
+        raw = {"grid": {k: float(v) for k, v in GRID_ONLY["grid"].items()},
+               "inference": {"n_samples": 1000.0, "budget": 20.0}, "seed": 7.0}
+        config = RunConfig.from_dict(raw)
+        fit = config.fit
+        values = (fit.n_samples, fit.budget, fit.seed, *dataclasses.astuple(config.window))
+        assert values == (1000, 20, 7, 0, 80, 1925, 2015, 5)
+        assert all(type(v) is int for v in values)

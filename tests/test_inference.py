@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -488,6 +489,33 @@ class TestSamplePosterior:
         fit = fit_model(model, ds, n_samples=50, seed=3, budget=150)
         recon = model.logrates_samples(fit.samples)
         assert np.array_equal(recon, fit.lograte_samples)
+
+    def test_lograte_samples_computed_on_read(self, rng):
+        grid = GridSpec(4, 4)
+        ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
+        model = assemble_model(grid, 2, "M5", "independent")
+        eta = model.default_eta()
+        fit = sample_posterior(model, eta, ds, n=60, seed=11)
+        again = sample_posterior(model, eta, ds, n=60, seed=11)
+        # what a fit used to store: the linear map of its seeded draws
+        stored = model.logrates_samples(again.samples)
+        first = fit.lograte_samples
+        assert np.array_equal(first, stored)
+        per_draw = np.stack([model.logrates_flat(xi) for xi in fit.samples])
+        assert np.allclose(first, per_draw, rtol=1e-12, atol=1e-12)
+        first[:] = 0.0  # each read is a fresh array, not a view into the fit
+        assert np.array_equal(fit.lograte_samples, stored)
+
+    def test_fit_stores_no_lograte_matrix(self, rng):
+        grid = GridSpec(4, 4)
+        ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
+        model = assemble_model(grid, 2, "M5", "independent")
+        fit = sample_posterior(model, model.default_eta(), ds, n=60, seed=11)
+        lograte_shape = (fit.n_samples, model.n_cells)
+        assert fit.lograte_samples.shape == lograte_shape
+        for field in dataclasses.fields(fit):
+            value = getattr(fit, field.name)
+            assert not (isinstance(value, np.ndarray) and value.shape == lograte_shape), field.name
 
     def test_seed_reproducibility(self, rng):
         grid = GridSpec(4, 4)

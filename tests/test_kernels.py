@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 
@@ -79,16 +81,64 @@ class TestPaths:
         assert np.allclose(_kernels.pit_mean_cdf(samples, y), expected, rtol=0, atol=1e-15)
 
 
+# Reads each loaded OpenBLAS's thread count without importing the package
+# (which pins on import): ``_threads`` is loaded straight from its file.
+_THREADS_FILE = os.path.join(os.path.dirname(_kernels.__file__), "_threads.py")
+_PRINT_THREADS = (
+    "import importlib.util, json\n"
+    f"spec = importlib.util.spec_from_file_location('threads', {_THREADS_FILE!r})\n"
+    "threads = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(threads)\n"
+    "print(json.dumps(threads.blas_threads()))\n"
+)
+
+
+def _run(code, blas_threads=None):
+    """Run ``code`` in a fresh interpreter with no BLAS thread variables
+    set, except ``STRATAPC_BLAS_THREADS`` when given; return its last
+    output line parsed as JSON."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "STRATAPC_BLAS_THREADS")
+    }
+    if blas_threads is not None:
+        env["STRATAPC_BLAS_THREADS"] = str(blas_threads)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 class TestEnvFlag:
     def test_default_backend_reported(self):
         assert _kernels.BACKEND == "numpy"
 
+    def test_import_pins_every_openblas_to_one_thread(self):
+        threads = _run("import stratapc\n" + _PRINT_THREADS)
+        assert threads and set(threads.values()) == {1}
+
     def test_blas_pin_opt_out(self):
+        # with the pin off, each pool keeps the size numpy and scipy gave it
+        plain = _run("import numpy, scipy.linalg\n" + _PRINT_THREADS)
+        opted_out = _run("import stratapc\n" + _PRINT_THREADS, blas_threads=0)
+        assert opted_out == plain
+
+    def test_mode_and_laplace_do_not_depend_on_blas_threads(self):
         code = (
-            "import os; os.environ['STRATAPC_BLAS_THREADS'] = '0'; "
-            "import stratapc; print('ok')"
+            "import json\n"
+            "from stratapc import GridSpec, assemble_model, conditional_mode, "
+            "laplace_log_marginal, simulate_dataset\n"
+            "grid = GridSpec(6, 6)\n"
+            "ds, _ = simulate_dataset(grid, 3, pattern='M4', structure='exchangeable', seed=5)\n"
+            "model = assemble_model(grid, 3, 'M4', 'exchangeable')\n"
+            "eta = model.default_eta()\n"
+            "mode = conditional_mode(model, eta, ds)\n"
+            "print(json.dumps({'xi': mode.xi.tolist(), "
+            "'laplace': laplace_log_marginal(model, eta, ds)}))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "ok"
+        one, two = _run(code, blas_threads=1), _run(code, blas_threads=2)
+        xi_one, xi_two = np.array(one["xi"]), np.array(two["xi"])
+        assert np.linalg.norm(xi_one - xi_two) <= 1e-10 * np.linalg.norm(xi_one)
+        assert one["laplace"] == pytest.approx(two["laplace"], rel=1e-10)
