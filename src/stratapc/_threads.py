@@ -5,7 +5,8 @@ thousand rows), a regime where multi-threaded BLAS loses far more to pool
 synchronization than it gains; on a two-core box a warm Newton step runs
 about twenty times slower under the default pool.  Importing the package
 pins the BLAS pools to ``STRATAPC_BLAS_THREADS`` threads (default 1); set
-the variable to 0 to leave the pools untouched.
+the variable to 0 to leave the pools untouched.  A value that is not an
+integer is logged as a warning and pins the default.
 
 The pin goes through OpenBLAS's own thread setter, called with ``ctypes``
 on every OpenBLAS mapped into the process (numpy and scipy each bundle
@@ -15,8 +16,11 @@ one), so it reaches only libraries already loaded when it runs.
 from __future__ import annotations
 
 import ctypes
+import logging
 import os
 from pathlib import Path
+
+logger = logging.getLogger(__name__)
 
 # Exported names, first match wins: the scipy-openblas wheels prefix their
 # symbols and the ILP64 build adds a ``64_`` suffix.
@@ -63,11 +67,12 @@ def blas_threads() -> dict[str, int]:
 
 
 def pin_blas_threads() -> None:
-    raw = os.environ.get("STRATAPC_BLAS_THREADS", "1").strip()
+    raw = os.environ.get("STRATAPC_BLAS_THREADS", "1")
     try:
-        n = int(raw)
+        n = int(raw.strip())
     except ValueError:
-        return
+        logger.warning("STRATAPC_BLAS_THREADS=%r is not an integer; pinning to 1 thread", raw)
+        n = 1
     if n <= 0:
         return
     for lib in _openblas_libraries().values():

@@ -66,6 +66,14 @@ def _setting(section: dict, key: str, name: str, cast, ok, need: str):
     return value
 
 
+def _section(raw: dict, key: str, default):
+    """The JSON object under ``key`` (``default`` when absent)."""
+    value = raw.get(key, default)
+    if value is not default and not isinstance(value, dict):
+        raise ConfigError(key, f"expected an object, got {value!r}")
+    return value
+
+
 def _names(raw: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
     names = raw[key]
     if not isinstance(names, list):
@@ -107,9 +115,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if "grid" not in raw:
+        if not isinstance(raw, dict):
+            raise ConfigError("<document>", f"expected an object, got {raw!r}")
+        g = _section(raw, "grid", None)
+        if g is None:
             raise ConfigError("grid", "missing aggregation window")
-        g = raw["grid"]
         bounds = {}
         for f in fields(GridWindow):
             if f.name not in g:
@@ -121,8 +131,8 @@ class RunConfig:
             raise ConfigError("grid", str(exc)) from exc
 
         baseline_spec = None
-        if raw.get("baseline"):
-            b = raw["baseline"]
+        b = _section(raw, "baseline", None)
+        if b:
             try:
                 baseline_spec = BaselineSpec(
                     coordinates=b.get("coordinates", "age-cohort"),
@@ -132,7 +142,7 @@ class RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("baseline", str(exc)) from exc
 
-        inf = raw.get("inference", {})
+        inf = _section(raw, "inference", {})
         settings = {
             key: _setting(inf, key, f"inference.{key}", *rule)
             for key, rule in _INFERENCE.items()
@@ -147,7 +157,7 @@ class RunConfig:
         if "structures" in raw:
             settings["structures"] = _names(raw, "structures", STRUCTURES)
         fit = GridConfig(
-            prior_config=_prior_config(raw.get("priors", {})),
+            prior_config=_prior_config(_section(raw, "priors", {})),
             baseline_spec=baseline_spec,
             **settings,
         )

@@ -10,6 +10,17 @@ hyperparameter posterior, and Gaussian posterior sampling at the optimum.
 ``mcmc.py`` provides a sampling oracle for validating this pipeline on
 small instances.
 
+The Laplace Hessian is never formed densely in the search.  The Poisson
+Gram couples coordinates only within a stratum and a strata-varying
+block's prior precision is Sigma^-1 (x) diag(tau), so ``StructuredHessian``
+factors one block per stratum (one LAPACK Cholesky each), an arrow to the shared
+blocks, and the low-rank exchangeable coupling (Sigma^-1 = a I + b 11'):
+O(R n_local^3 + n_global^3) per factorization, with n_global at most the
+canonical design's column count, in place of O(free_dim^3).  Under bym2
+Sigma^-1 is dense, so every coordinate is global and each factorization
+is the dense one.  The dense Hessian and its Cholesky factor are built
+only when posterior draws are taken.
+
 Cell vectorization is stratum-major, column-major by period within each
 stratum.  All sampling is seed-driven; identical inputs and seeds produce
 identical outputs on one platform.
@@ -17,8 +28,10 @@ identical outputs on one platform.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +55,8 @@ from .covariance import (
     scaled_generalized_inverse,
 )
 from .priors import HyperParameters, PCPriorBYM2, PriorConfig, PriorModel
+
+logger = logging.getLogger(__name__)
 
 BLOCKS = ("baseline", "age", "period", "cohort")
 
@@ -231,22 +246,97 @@ class GaussianPseudoLikelihood:
 
 
 class LatentPrior:
-    """Gaussian prior over the free latent vector at fixed hyperparameters:
-    dense precision, mean, and log density."""
+    """Gaussian prior over the free latent vector at fixed hyperparameters.
 
-    def __init__(self, precision: np.ndarray, mean: np.ndarray, logdet: float):
-        self.precision = precision
-        self.mean = mean
-        self.logdet = logdet
-        self.dim = mean.shape[0]
+    A block's vec precision is Sigma^-1 (x) diag(within); where Sigma is the
+    identity (shared blocks, independent) that is diag(within).  ``within``
+    and ``rho`` hold each free coordinate's within-stratum precision and
+    exchangeable rho (0 where there is none).
+    """
+
+    def __init__(self, blocks, free_dim: int, rhos: Sequence[float | None]):
+        self.mean = np.zeros(free_dim)
+        self.within = np.zeros(free_dim)
+        self.rho = np.zeros(free_dim)
+        self._diagonal = np.zeros(free_dim)  # within where Sigma = I, else 0
+        self.logdet = 0.0
+        self.dim = free_dim
+        exchangeable = []
+        # blocks with any other Sigma (bym2) apply Sigma^-1 as a matrix
+        self._dense: list[tuple[slice, np.ndarray, np.ndarray]] = []
+        for (sl, within, sigma, block_mean), rho in zip(blocks, rhos):
+            copies = block_mean.shape[0] // within.shape[0]
+            self.logdet += copies * float(np.sum(np.log(within)))
+            self.mean[sl] = block_mean
+            self.within[sl].reshape(copies, -1)[:] = within
+            if rho is not None:
+                # closed form, accurate as rho -> 1 where a factor of Sigma is not
+                r1 = copies - 1
+                logdet_sigma = r1 * np.log1p(-rho) + np.log1p(r1 * rho)
+                self.rho[sl] = rho
+                exchangeable.append(np.arange(sl.start, sl.stop).reshape(copies, -1))
+            elif sigma is not None:
+                chol = sla.cholesky(sigma, lower=True)
+                inv = sla.cho_solve((chol, True), np.eye(copies))
+                logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
+                self._dense.append((sl, within, 0.5 * (inv + inv.T)))
+            else:
+                self._diagonal[sl] = self.within[sl]
+                continue
+            self.logdet -= within.shape[0] * float(logdet_sigma)
+        # every exchangeable coordinate as (stratum, column): Sigma^-1 is
+        # a (I - 11'/R) + c 11'/R with a = 1/(1-rho), c = 1/(1+(R-1)rho)
+        self._exch = np.concatenate(exchangeable, axis=1) if exchangeable else None
+        if self._exch is not None:
+            col = self._exch[0]
+            r1 = self._exch.shape[0] - 1
+            self._exch_a = self.within[col] / (1.0 - self.rho[col])
+            self._exch_c = self.within[col] / (1.0 + r1 * self.rho[col])
+
+    def _apply(self, resid: np.ndarray) -> np.ndarray:
+        """Precision @ resid."""
+        out = resid * self._diagonal
+        if self._exch is not None:
+            x = resid[self._exch]
+            centre = x.mean(axis=0)
+            out[self._exch] = (x - centre) * self._exch_a + centre * self._exch_c
+        for sl, within, sigma_inv in self._dense:
+            out[sl] = ((sigma_inv @ resid[sl].reshape(-1, within.shape[0])) * within).ravel()
+        return out
 
     def logpdf(self, xi: np.ndarray) -> float:
+        """Log density; the exchangeable quadratic form is summed as
+        a |x - mean|^2 + c R |mean|^2, whose terms do not cancel."""
         resid = xi - self.mean
-        quad = float(resid @ (self.precision @ resid))
+        quad = float((resid * resid) @ self._diagonal)
+        if self._exch is not None:
+            x = resid[self._exch]
+            centre = x.mean(axis=0)
+            dev = np.sum((x - centre) ** 2, axis=0)
+            quad += float(dev @ self._exch_a + (x.shape[0] * centre**2) @ self._exch_c)
+        for sl, within, sigma_inv in self._dense:
+            x = resid[sl].reshape(-1, within.shape[0])
+            quad += float(np.sum(x * (sigma_inv @ x), axis=0) @ within)
         return -0.5 * (self.dim * np.log(2.0 * np.pi) - self.logdet + quad)
 
     def grad(self, xi: np.ndarray) -> np.ndarray:
-        return -(self.precision @ (xi - self.mean))
+        return -self._apply(xi - self.mean)
+
+    @property
+    def precision(self) -> np.ndarray:
+        """The dense precision, built on each read (tests and draws)."""
+        precision = np.diag(self._diagonal)
+        if self._exch is not None:
+            # Sigma^-1 = a I - rho a c 11' per column, times within
+            idx = self._exch
+            rho = self.rho[idx[0]]
+            a = 1.0 / (1.0 - rho)
+            c = 1.0 / (1.0 + (idx.shape[0] - 1) * rho)
+            sigma_inv = a * np.eye(idx.shape[0])[:, :, None] - rho * a * c
+            precision[idx[:, None, :], idx[None, :, :]] = sigma_inv * self.within[idx[0]]
+        for sl, within, sigma_inv in self._dense:
+            precision[sl, sl] = np.kron(sigma_inv, np.diag(within))
+        return precision
 
 
 @dataclass
@@ -293,29 +383,43 @@ class LatentModel:
 
     def design_transpose_apply(self, v_flat: np.ndarray) -> np.ndarray:
         """Design' @ v for a flat cell vector, accumulated over strata."""
-        cells = self.grid.n_cells
-        out = np.zeros(self.free_dim)
-        v = v_flat.reshape(self.n_strata, cells)
-        mt_v = v @ self.parts.matrix  # (R, n_canonical)
-        for r in range(self.n_strata):
-            np.add.at(out, self.col_index[r], mt_v[r])
-        return out
+        mt_v = v_flat.reshape(self.n_strata, self.grid.n_cells) @ self.parts.matrix
+        return np.bincount(self.col_index.ravel(), weights=mt_v.ravel(), minlength=self.free_dim)
 
     def weighted_gram(self, w_flat: np.ndarray) -> np.ndarray:
-        """Design' diag(w) Design, accumulated per stratum."""
-        cells = self.grid.n_cells
+        """Per-stratum M' diag(w_r) M over the canonical columns, stacked
+        (R, n_canonical, n_canonical)."""
         m = self.parts.matrix
-        h = np.zeros((self.free_dim, self.free_dim))
-        w = w_flat.reshape(self.n_strata, cells)
-        for r in range(self.n_strata):
-            gram = m.T @ (w[r][:, None] * m)
-            idx = self.col_index[r]
-            h[np.ix_(idx, idx)] += gram
-        return h
+        w = w_flat.reshape(self.n_strata, self.grid.n_cells)
+        return m.T @ (w[:, :, None] * m)
 
-    @staticmethod
-    def flatten_cells(arr: np.ndarray) -> np.ndarray:
-        return flatten_cells(arr)
+    def dense_gram(self, grams: np.ndarray) -> np.ndarray:
+        """Design' diag(w) Design over the free vector: the stacked
+        per-stratum Grams scattered by ``col_index`` and summed in stratum
+        order.  The dense oracle of the structured Hessian."""
+        n = self.free_dim
+        flat = (self.col_index[:, :, None] * n + self.col_index[:, None, :]).ravel()
+        return np.bincount(flat, weights=grams.ravel(), minlength=n * n).reshape(n, n)
+
+    @cached_property
+    def hessian_layout(self) -> "HessianLayout":
+        """Which canonical columns stay local to a stratum in the Laplace
+        Hessian and which join the global system: strata-varying blocks are
+        local except under bym2 (dense Sigma^-1), shared blocks are global."""
+        lengths = [self.blocks[name][1] for name in BLOCKS]
+        shared = np.repeat([self.blocks[name][2] for name in BLOCKS], lengths)
+        local = ~shared if self.structure.kind != "bym2" else np.zeros_like(shared)
+        loc_cols, glob_cols = np.flatnonzero(local), np.flatnonzero(~local)
+        if loc_cols.size:  # global columns are shared: the same slots in every stratum
+            glob_index = self.col_index[0, glob_cols]
+        else:
+            glob_index = np.arange(self.free_dim)
+        return HessianLayout(
+            loc_cols=loc_cols,
+            glob_cols=glob_cols,
+            loc_index=self.col_index[:, loc_cols],
+            glob_index=glob_index,
+        )
 
     # ------------------------------------------------------------------
     # latent prior
@@ -323,12 +427,12 @@ class LatentModel:
     def _block_priors(
         self, eta: HyperParameters
     ) -> list[tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]]:
-        """(slice, within-stratum precision diagonal, lower Cholesky factor
-        of the cross-strata covariance, mean) per block.
+        """(slice, within-stratum precision diagonal, cross-strata
+        covariance Sigma, mean) per block.
 
-        A varying block's vec precision is Sigma^-1 (x) diag(within); the
-        factor is None for shared blocks and the independent structure, whose
-        Sigma is the identity.
+        A varying block's vec precision is Sigma^-1 (x) diag(within); Sigma
+        is None for shared blocks and the independent structure, where it is
+        the identity.
         """
         out = []
         for name in BLOCKS:
@@ -345,40 +449,30 @@ class LatentModel:
                 raise ValueError("varying baseline needs nu0 in eta")
             else:
                 mean = np.tile(np.asarray(eta.nu0, dtype=float), copies)
-            chol = None
+            sigma = None
             if not shared and self.structure.kind == "exchangeable":
-                chol = sla.cholesky(exchangeable_corr(copies, eta.rhos[name]), lower=True)
+                sigma = exchangeable_corr(copies, eta.rhos[name])
             elif not shared and self.structure.kind == "bym2":
-                chol = sla.cholesky(bym2_corr(eta.rhos[name], self.scaled_qinv), lower=True)
-            out.append((sl, np.full(length, eta.taus[name]), chol, mean))
+                sigma = bym2_corr(eta.rhos[name], self.scaled_qinv)
+            out.append((sl, np.full(length, eta.taus[name]), sigma, mean))
         return out
 
     def latent_prior(self, eta: HyperParameters) -> LatentPrior:
-        precision = np.zeros((self.free_dim, self.free_dim))
-        mean = np.zeros(self.free_dim)
-        logdet = 0.0
-        for sl, within, chol, block_mean in self._block_priors(eta):
-            copies = block_mean.shape[0] // within.shape[0]
-            block_logdet = copies * float(np.sum(np.log(within)))
-            if chol is None:
-                precision[sl, sl] = np.diag(np.tile(within, copies))
-            else:
-                inv = sla.cho_solve((chol, True), np.eye(copies))
-                precision[sl, sl] = np.kron(0.5 * (inv + inv.T), np.diag(within))
-                logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
-                block_logdet -= within.shape[0] * logdet_sigma
-            logdet += block_logdet
-            mean[sl] = block_mean
-        return LatentPrior(precision=precision, mean=mean, logdet=logdet)
+        exchangeable = self.structure.kind == "exchangeable"
+        rhos = [
+            eta.rhos[name] if exchangeable and not self.blocks[name][2] else None
+            for name in BLOCKS
+        ]
+        return LatentPrior(self._block_priors(eta), self.free_dim, rhos)
 
     def sample_latent_prior(self, eta: HyperParameters, rng: np.random.Generator) -> np.ndarray:
         """One draw of the free latent vector from its prior at eta."""
         xi = np.zeros(self.free_dim)
-        for sl, within, chol, mean in self._block_priors(eta):
+        for sl, within, sigma, mean in self._block_priors(eta):
             z = rng.standard_normal((within.shape[0], mean.shape[0] // within.shape[0]))
             x = z / np.sqrt(within)[:, None]
-            if chol is not None:
-                x = x @ chol.T
+            if sigma is not None:
+                x = x @ sla.cholesky(sigma, lower=True).T
             xi[sl] = mean + x.T.ravel()
         return xi
 
@@ -604,18 +698,199 @@ def poisson_loglik(
     return ll, model.design_transpose_apply(grad_mu), w
 
 
+@dataclass(frozen=True)
+class HessianLayout:
+    """Where a stratum's canonical columns go in the structured Hessian:
+    ``loc_index[r]`` holds the free positions of stratum r's local
+    coordinates (columns ``loc_cols``), ``glob_index`` the free positions of
+    the global ones.  With no local coordinates (bym2, or every block
+    shared) the global system is the whole Hessian in free order."""
+
+    loc_cols: np.ndarray
+    glob_cols: np.ndarray
+    loc_index: np.ndarray
+    glob_index: np.ndarray
+
+    @property
+    def whole(self) -> bool:
+        return not self.loc_cols.size
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    chol = _chol_with_jitter(a)
+    if chol is None:
+        raise sla.LinAlgError("Hessian factorization failed")
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L')^-1 b for a lower factor L, straight through LAPACK: the
+    systems here are small and are solved on every Newton step."""
+    return sla.lapack.dpotrs(chol, b, lower=1)[0]
+
+
+def _logdet(chol: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1))))
+
+
+class StructuredHessian:
+    """The Laplace Hessian H = sum_r P_r' G_r P_r + Q (G_r the weighted Gram
+    of stratum r, Q the latent prior precision), factored by its structure.
+
+    Order the free vector as each stratum's local coordinates x_r (its
+    strata-varying blocks), then the global ones s (the shared blocks).  An
+    exchangeable block has Sigma^-1 = a I + b 11' with a = 1/(1-rho) and
+    b = -rho a c, c = 1/(1+(R-1)rho), so
+
+        H = [[K, B], [B', C]] + (1_R (x) I) diag(mu) (1_R (x) I)',
+
+    K = blockdiag(K_r), K_r = G_r[loc, loc] + diag(a within), B stacks the
+    G_r[loc, glob], C is the summed global Grams plus the shared blocks'
+    prior, mu = b within.  The coupling is handled by its sign:
+
+    * rho > 0 (b < 0): x_r = m + e_r with a shared mean m ~ N(0, rho /
+      within) and e_r ~ N(0, (1 - rho) / within) independent over strata.
+      The joint precision of (x, m, s) is an arrow H_0; its Schur complement
+      S on (m, s) has the m block diag(within / rho) + a within sum_r
+      K_r^-1 G_r[loc, loc], which stays accurate as rho -> 1, and
+      det H = det K det S / prod((R a + 1/rho) within).
+    * rho < 0 (b > 0): Woodbury on the arrow with M = diag(mu) > 0 and
+      Y = 1_R (x) I on the locals: Cap = M^-1 + Y' H_0^-1 Y,
+      det H = det H_0 det M det Cap, H^-1 = H_0^-1 - H_0^-1 Y Cap^-1 Y' H_0^-1.
+      M only shrinks as rho -> 0 and grows as rho -> -1/(R-1), and Cap
+      stays well conditioned either way.
+    * rho = 0 and the independent structure: no coupling.
+
+    One Cholesky per K_r, then global systems of at most
+    n_canonical rows, so a factorization costs O(R n_local^3 + n_global^3).
+    Under bym2 Sigma^-1 is dense: every coordinate is global and S is the
+    dense Hessian itself.
+    """
+
+    def __init__(self, model: "LatentModel", grams: np.ndarray, prior: LatentPrior):
+        self.model, self.grams, self.prior = model, grams, prior
+        lay = self.layout = model.hessian_layout
+        gc, lc = lay.glob_cols, lay.loc_cols
+        n_strata, n_loc, n_s = model.n_strata, lc.shape[0], lay.glob_index.shape[0]
+        self.logdet = 0.0
+        self.l_cap = None
+        if lay.whole:
+            self.l_s = _factor(self.dense())
+            self.logdet = _logdet(self.l_s)
+            return
+        glob = grams[:, gc[:, None], gc].sum(axis=0)  # the same slots in every stratum
+        glob[np.diag_indices(n_s)] += prior.within[lay.glob_index]
+        d, rho = prior.within[lay.loc_index[0]], prior.rho[lay.loc_index[0]]
+        a = 1.0 / (1.0 - rho)
+        q = a * d
+        g_loc = grams[:, lc[:, None], lc]
+        l_k = _factor(g_loc + np.diag(q))
+        self.logdet += _logdet(l_k)
+        # Schur complements are taken as W'W with W = L^-1 (...), not as
+        # B' K^-1 B, which loses digits when a K_r is ill conditioned
+        self.l_inv = l_inv = np.stack([sla.lapack.dtrtri(block, lower=1)[0] for block in l_k])
+
+        # globals (m, s): a mean m for each rho > 0 coordinate
+        pos_rho = np.flatnonzero(rho > 0)
+        self.n_m = n_m = pos_rho.shape[0]
+        pos_rho = slice(None) if n_m == n_loc else pos_rho  # a view when every local is
+        q_m = q[pos_rho]
+        h_mm = (n_strata * a[pos_rho] + 1.0 / rho[pos_rho]) * d[pos_rho]
+        self.logdet -= float(np.sum(np.log(h_mm)))
+        # W_r = L_r^-1 [H_lm, B_r], H_lm holding -q at (j, slot of j)
+        l_pos_rho = l_inv[:, :, pos_rho]
+        self.w = np.concatenate([-l_pos_rho * q_m, l_inv @ grams[:, lc[:, None], gc]], axis=2)
+        s = -(self.w.transpose(0, 2, 1) @ self.w).sum(axis=0)
+        s[n_m:, n_m:] += glob
+        if n_m:
+            # S_mm = diag(h_mm) - sum_r q K_r^-1 q, written as
+            # diag(d / rho) + q sum_r K_r^-1 G_r, free of the cancellation as rho -> 1
+            k_inv_g = (l_pos_rho.transpose(0, 2, 1) @ (l_inv @ g_loc[:, :, pos_rho])).sum(axis=0)
+            k_inv_g *= q_m[:, None]
+            s[:n_m, :n_m] = np.diag(d[pos_rho] / rho[pos_rho]) + 0.5 * (k_inv_g + k_inv_g.T)
+        self.l_s = _factor(s) if s.shape[0] else None
+        if self.l_s is not None:
+            self.logdet += _logdet(self.l_s)
+
+        # Woodbury for the rho < 0 coordinates
+        self.neg_rho = np.flatnonzero(rho < 0)
+        if self.neg_rho.shape[0]:
+            mu = (-rho * a / (1.0 + (n_strata - 1) * rho) * d)[self.neg_rho]
+            l_neg_rho = l_inv[:, :, self.neg_rho].transpose(0, 2, 1)
+            # sum_r K_r^-1[neg_rho, neg_rho]
+            cap = (l_neg_rho @ l_neg_rho.transpose(0, 2, 1)).sum(axis=0)
+            if self.l_s is not None:
+                f = (l_neg_rho @ self.w).sum(axis=0)  # sum_r K_r^-1[neg_rho, :] [H_lm, B_r]
+                cap += f @ _cho_solve(self.l_s, f.T)
+            cap = 0.5 * (cap + cap.T) + np.diag(1.0 / mu)
+            self.l_cap = _factor(cap)
+            self.logdet += float(np.sum(np.log(mu))) + _logdet(self.l_cap)
+
+    def _arrow_solve(self, g_loc: np.ndarray, g_glob: np.ndarray):
+        """H_0^-1 [g_loc; g_glob]: g_loc as (R, n_local), g_glob over (m, s)."""
+        y = np.einsum("rij,rj->ri", self.l_inv, g_loc)
+        x_glob = g_glob
+        if self.l_s is not None:
+            x_glob = _cho_solve(self.l_s, g_glob - np.einsum("rij,ri->j", self.w, y))
+            y = y - self.w @ x_glob
+        return np.einsum("rji,rj->ri", self.l_inv, y), x_glob
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """H^-1 g."""
+        lay = self.layout
+        if lay.whole:
+            return _cho_solve(self.l_s, g)
+        g_glob = np.concatenate([np.zeros(self.n_m), g[lay.glob_index]])
+        x_loc, x_glob = self._arrow_solve(g[lay.loc_index], g_glob)
+        if self.l_cap is not None:
+            w = np.zeros(x_loc.shape[1])
+            w[self.neg_rho] = _cho_solve(self.l_cap, x_loc.sum(axis=0)[self.neg_rho])
+            c_loc, c_glob = self._arrow_solve(
+                np.broadcast_to(w, x_loc.shape), np.zeros_like(x_glob)
+            )
+            x_loc, x_glob = x_loc - c_loc, x_glob - c_glob
+        out = np.empty_like(g)
+        out[lay.loc_index] = x_loc
+        out[lay.glob_index] = x_glob[self.n_m :]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The dense Hessian: the oracle of this factorization, and the
+        matrix posterior draws are taken from."""
+        dense = self.model.dense_gram(self.grams)
+        dense += self.prior.precision
+        return dense
+
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of the dense Hessian; the global factor
+        itself when the global system is the whole Hessian."""
+        return self.l_s if self.layout.whole else _factor(self.dense())
+
+
 @dataclass
 class ModeResult:
     xi: np.ndarray
-    hessian: np.ndarray
-    chol: np.ndarray            # lower Cholesky factor of the Hessian
-    objective: float            # loglik + latent log prior at the mode
+    operator: StructuredHessian  # the Hessian at the mode
+    objective: float             # loglik + latent log prior at the mode
     n_iter: int
     converged: bool
 
     @property
     def logdet_hessian(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return self.operator.logdet
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        return self.operator.dense()
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of the dense Hessian, built on first read
+        (posterior draws)."""
+        try:
+            return self.operator.cholesky()
+        except sla.LinAlgError:
+            raise ModeError("Hessian factorization failed at the mode", last=self.xi) from None
 
 
 def conditional_mode(
@@ -647,6 +922,12 @@ def conditional_mode(
             return -np.inf, None, None
         return ll + prior.logpdf(x), grad_mu, w
 
+    def hessian(w: np.ndarray, where: str) -> StructuredHessian:
+        try:
+            return StructuredHessian(model, model.weighted_gram(w), prior)
+        except sla.LinAlgError:
+            raise ModeError(f"Hessian factorization failed{where}", last=xi) from None
+
     obj, grad_mu, w = evaluate(xi)
     if not np.isfinite(obj):
         raise ModeError("objective not finite at the initial point", last=xi)
@@ -658,11 +939,7 @@ def conditional_mode(
         if np.max(np.abs(grad)) < tol:
             converged = True
             break
-        hessian = model.weighted_gram(w) + prior.precision
-        chol = _chol_with_jitter(hessian)
-        if chol is None:
-            raise ModeError("Hessian factorization failed", last=xi)
-        delta = sla.cho_solve((chol, True), grad)
+        delta = hessian(w, "").solve(grad)
         step = 1.0
         accepted = False
         for _ in range(max_halvings + 1):
@@ -688,14 +965,9 @@ def conditional_mode(
 
     # refresh curvature at the accepted mode
     ll, grad_mu, w = likelihood.value_grad_weights(model.logrates_flat(xi))
-    hessian = model.weighted_gram(w) + prior.precision
-    chol = _chol_with_jitter(hessian)
-    if chol is None:
-        raise ModeError("Hessian factorization failed at the mode", last=xi)
     return ModeResult(
         xi=xi,
-        hessian=hessian,
-        chol=chol,
+        operator=hessian(w, " at the mode"),
         objective=ll + prior.logpdf(xi),
         n_iter=n_iter,
         converged=True,
@@ -703,6 +975,22 @@ def conditional_mode(
 
 
 def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
+    """Lower Cholesky factor of ``h``, or of each matrix of a stacked
+    (k, n, n) ``h``; a matrix that is not numerically positive definite gets
+    its mean diagonal times 1e-12, 1e-9, 1e-6 added to the diagonal until it
+    factors (logged as a warning), else None."""
+    if h.ndim == 3:
+        # one LAPACK call per block: scipy.linalg.cholesky takes stacked
+        # input only in recent releases, and there it loops in Python too
+        factors = []
+        for block in h:
+            chol, info = sla.lapack.dpotrf(block, lower=1, clean=1)
+            if info:
+                chol = _chol_with_jitter(block, attempts)
+                if chol is None:
+                    return None
+            factors.append(chol)
+        return np.stack(factors)
     try:
         return sla.cholesky(h, lower=True, check_finite=False)
     except sla.LinAlgError:
@@ -711,11 +999,17 @@ def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
     diag = np.diag_indices(h.shape[0])
     for k in range(1, attempts):
         bumped = h.copy()
-        bumped[diag] += scale * 10.0 ** (-12 + 3 * (k - 1))
+        jitter = scale * 10.0 ** (-12 + 3 * (k - 1))
+        bumped[diag] += jitter
         try:
-            return sla.cholesky(bumped, lower=True, check_finite=False)
+            chol = sla.cholesky(bumped, lower=True, check_finite=False)
         except sla.LinAlgError:
             continue
+        logger.warning(
+            "Cholesky of a %d x %d matrix needed jitter: added %.3g to its diagonal",
+            h.shape[0], h.shape[0], jitter,
+        )
+        return chol
     return None
 
 

@@ -345,11 +345,13 @@ def sample_prior_predictive(
     ``degenerate_lograte`` are flagged degenerate and excluded from the
     extrema; exposures must be strictly positive on observed cells.
     """
+    from .inference import flatten_cells
+
     exposures = np.asarray(exposures, dtype=float)
     if observed is None:
         observed = np.ones_like(exposures, dtype=bool)
-    obs_flat = model.flatten_cells(observed).astype(bool)
-    exp_flat = model.flatten_cells(exposures)
+    obs_flat = flatten_cells(observed).astype(bool)
+    exp_flat = flatten_cells(exposures)
     if np.any(exp_flat[obs_flat] <= 0):
         raise ValueError("exposures must be strictly positive on observed cells")
 
@@ -373,7 +375,7 @@ def sample_prior_predictive(
     min_counts = np.asarray(minima)
     frac_max = frac_min = None
     if observed_counts is not None and max_counts.size:
-        y_flat = model.flatten_cells(np.asarray(observed_counts, dtype=float))[obs_flat]
+        y_flat = flatten_cells(np.asarray(observed_counts, dtype=float))[obs_flat]
         frac_max = float(np.mean(max_counts > y_flat.max()))
         frac_min = float(np.mean(min_counts < y_flat.min()))
     return PriorPredictiveSummary(

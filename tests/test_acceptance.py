@@ -262,7 +262,7 @@ def test_criterion_5_inference():
             grad_ok = False
     lik = PoissonLikelihood(ds)
     _, _, w = lik.value_grad_weights(model.logrates_flat(xi))
-    hess = model.weighted_gram(w)
+    hess = model.dense_gram(model.weighted_gram(w))
     hess_ok = True
     h2 = 1e-4
     for _ in range(5):

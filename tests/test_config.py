@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from stratapc.cli import main
 from stratapc.config import ConfigError, RunConfig
 from stratapc.core import BaselineSpec
 from stratapc.priors import BaselineMeanPrior, PriorConfig
@@ -125,3 +127,30 @@ class TestRanges:
         values = (fit.n_samples, fit.budget, fit.seed, *dataclasses.astuple(config.window))
         assert values == (1000, 20, 7, 0, 80, 1925, 2015, 5)
         assert all(type(v) is int for v in values)
+
+
+class TestSectionTypes:
+    @pytest.mark.parametrize(
+        "raw, section",
+        [
+            ({"grid": 5}, "grid"),
+            ({**GRID_ONLY, "inference": 5}, "inference"),
+            ({**GRID_ONLY, "priors": [1]}, "priors"),
+            ({**GRID_ONLY, "baseline": 3}, "baseline"),
+            ([GRID_ONLY], "<document>"),
+        ],
+        ids=["grid", "inference", "priors", "baseline", "document"],
+    )
+    def test_non_object_section_is_config_error(self, raw, section, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert err.value.field == section
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        io = ["--config", str(cfg), "--data", str(tmp_path / "data.csv"), "--out", str(out)]
+        rc = main(["fit", *io, "--pattern", "M4", "--structure", "independent"])
+        assert rc == 1
+        assert not out.exists()
+        err_lines = capsys.readouterr().err.splitlines()
+        assert any("error:" in line and repr(section) in line for line in err_lines)

@@ -166,7 +166,7 @@ class TestPoissonLoglik:
         xi = np.zeros(model.free_dim)
         xi[:3] = [-4.0, 0.1, -0.05]
         _, _, w = lik.value_grad_weights(model.logrates_flat(xi))
-        hessian = model.weighted_gram(w)
+        hessian = model.dense_gram(model.weighted_gram(w))
         h = 1e-4
         for _ in range(5):
             v = rng.normal(size=model.free_dim)

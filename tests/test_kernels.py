@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from stratapc import _kernels
+from stratapc import _kernels, _threads
 from stratapc.inference import MortalityDataset, PoissonLikelihood, flatten_cells
 
 
@@ -124,6 +125,24 @@ class TestEnvFlag:
         plain = _run("import numpy, scipy.linalg\n" + _PRINT_THREADS)
         opted_out = _run("import stratapc\n" + _PRINT_THREADS, blas_threads=0)
         assert opted_out == plain
+
+    @pytest.mark.parametrize("raw", ["x", "", "1.5"])
+    def test_bad_thread_count_warns_and_pins_one(self, raw, monkeypatch, caplog):
+        monkeypatch.setenv("STRATAPC_BLAS_THREADS", "2")
+        _threads.pin_blas_threads()
+        assert set(_threads.blas_threads().values()) == {2}
+        monkeypatch.setenv("STRATAPC_BLAS_THREADS", raw)
+        try:
+            with caplog.at_level(logging.WARNING, logger="stratapc._threads"):
+                _threads.pin_blas_threads()
+            threads = _threads.blas_threads()
+        finally:
+            monkeypatch.delenv("STRATAPC_BLAS_THREADS")
+            _threads.pin_blas_threads()  # back to the default
+        assert threads and set(threads.values()) == {1}
+        warned = [r for r in caplog.records if r.name == "stratapc._threads"]
+        assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+        assert repr(raw) in warned[0].getMessage()
 
     def test_mode_and_laplace_do_not_depend_on_blas_threads(self):
         code = (
