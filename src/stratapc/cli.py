@@ -234,14 +234,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _lograte_percentiles(fit) -> np.ndarray:
+    """2.5%, 50% and 97.5% posterior log-rate percentiles, (3, R, A, T),
+    built one stratum at a time."""
+    model = fit.model
+    g = model.grid
+    out = np.empty((3, model.n_strata, g.n_age, g.n_period))
+    for r in range(model.n_strata):
+        q = np.percentile(model.stratum_logrates(fit.samples, r), [2.5, 50.0, 97.5], axis=0)
+        out[:, r] = q.reshape(3, g.n_period, g.n_age).transpose(0, 2, 1)
+    return out
+
+
 def _cmd_fit(args) -> int:
     config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
     _check_structure(args.structure, fit_config)
     fit = fit_candidate(dataset, fit_config, args.pattern, args.structure, fit_config.seed)
     score = waic(pointwise_loglik(fit, dataset))
-    cube = fit.lograte_cube()
-    lower, median, upper = np.percentile(cube, [2.5, 50.0, 97.5], axis=0)
+    lower, median, upper = _lograte_percentiles(fit)
     ages, years = _axis_labels(config.window)
 
     rows = []

@@ -41,6 +41,9 @@ def pit(count_samples: np.ndarray, observed: np.ndarray, n_bins: int = 20) -> PI
 
     Needs at least MIN_PIT_SAMPLES predictive samples per cell.  The plotted density is a
     Gaussian kernel estimate with Silverman's bandwidth, reflected at 0 and 1.
+    The CDF counts run over row blocks of the draws and the density over
+    blocks of grid points (``_kernels.blocks``), so neither holds a
+    whole-matrix temporary.
     """
     samples = np.asarray(count_samples, dtype=float)
     y = np.asarray(observed, dtype=float).ravel()
@@ -72,9 +75,11 @@ def _reflected_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
         bw = 0.05
     # reflect mass escaping past 0 and 1 back into the unit interval
     points = np.concatenate([values, -values, 2.0 - values])
-    z = (grid[:, None] - points[None, :]) / bw
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (n * bw * np.sqrt(2.0 * np.pi))
-    return dens
+    kernel_sums = np.empty(grid.shape[0])
+    for rows in _kernels.blocks(grid.shape[0], points.shape[0]):
+        z = (grid[rows, None] - points[None, :]) / bw
+        kernel_sums[rows] = np.exp(-0.5 * z**2).sum(axis=1)
+    return kernel_sums / (n * bw * np.sqrt(2.0 * np.pi))
 
 
 def ks_distance_from_uniform(values: np.ndarray) -> float:
@@ -106,7 +111,12 @@ def hindcast(
 ) -> HindcastResult:
     """Draw counts Poisson(N exp(mu)) per posterior log-rate sample at the
     target cells (which may be unobserved; the latent model defines their
-    rates).  Exposures are required input."""
+    rates).  Exposures are required input.
+
+    Log rates are mapped only for the strata holding targets, one stratum
+    at a time, into the output array; the counts then replace them over row
+    blocks, which consume the generator in C order as one whole-matrix draw
+    would, and the percentiles are taken over column blocks."""
     if exposures is None:
         raise ValueError("hindcasting requires exposures for the target cells")
     targets = np.atleast_2d(np.asarray(targets, dtype=int))
@@ -127,12 +137,22 @@ def hindcast(
     if np.any(~np.isfinite(n_target)) or np.any(n_target <= 0):
         raise ValueError("target exposures must be positive and finite")
 
-    cells = grid.n_cells
-    flat_idx = targets[:, 0] * cells + targets[:, 2] * grid.n_age + targets[:, 1]
-    mu = fit.lograte_samples[:, flat_idx]
+    n, n_targets = fit.n_samples, targets.shape[0]
+    cell = targets[:, 2] * grid.n_age + targets[:, 1]
+    samples = np.empty((n, n_targets))
+    for r in np.unique(targets[:, 0]):
+        at = np.flatnonzero(targets[:, 0] == r)
+        samples[:, at] = model.stratum_logrates(fit.samples, r)[:, cell[at]]
     rng = np.random.default_rng(seed)
-    samples = rng.poisson(n_target[None, :] * np.exp(mu)).astype(float)
-    lower, median, upper = np.percentile(samples, [2.5, 50.0, 97.5], axis=0)
+    for rows in _kernels.blocks(n, n_targets):
+        rate = np.exp(samples[rows])
+        rate *= n_target
+        samples[rows] = rng.poisson(rate)
+    lower, median, upper = np.empty((3, n_targets))
+    for cols in _kernels.blocks(n_targets, n):
+        lower[cols], median[cols], upper[cols] = np.percentile(
+            samples[:, cols], [2.5, 50.0, 97.5], axis=0
+        )
     return HindcastResult(
         targets=targets, samples=samples, median=median, lower=lower, upper=upper
     )

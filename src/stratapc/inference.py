@@ -201,6 +201,7 @@ class PoissonLikelihood:
         n_obs = self.exposure[self.observed]
         self.constant = float(np.sum(y_obs * np.log(n_obs) - gammaln(y_obs + 1.0)))
         # per-observed-cell constants, for pointwise scoring
+        # (``selection.pointwise_loglik``)
         self.cell_constants = y_obs * np.log(n_obs) - gammaln(y_obs + 1.0)
 
     def value_grad_weights(self, mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -210,16 +211,6 @@ class PoissonLikelihood:
         if not np.isfinite(core):
             return -np.inf, grad, w
         return core + self.constant, grad, w
-
-    def pointwise(self, logrates: np.ndarray) -> np.ndarray:
-        """Per-sample per-observed-cell log pmf, (n_samples, n_observed)."""
-        mu_obs = np.ascontiguousarray(logrates[:, self.observed])
-        return _kernels.pointwise_poisson_ll(
-            mu_obs,
-            self.y[self.observed],
-            self.exposure[self.observed],
-            self.cell_constants,
-        )
 
 
 class GaussianPseudoLikelihood:
@@ -375,10 +366,16 @@ class LatentModel:
     def logrates_flat(self, xi: np.ndarray) -> np.ndarray:
         return self.logrates_matrix(xi).ravel()
 
+    def stratum_logrates(self, xi_samples: np.ndarray, r: int) -> np.ndarray:
+        """Map (n, free_dim) latent samples to stratum r's (n, cells) log
+        rates: the one draws-to-rates mapping every posterior reader uses.
+        Taking a subset of the design rows instead changes the last bits,
+        because OpenBLAS picks its kernel by matrix shape."""
+        return xi_samples[:, self.col_index[r]] @ self.parts.matrix.T
+
     def logrates_samples(self, xi_samples: np.ndarray) -> np.ndarray:
         """Map (n, free_dim) latent samples to (n, R * cells) log rates."""
-        m_t = self.parts.matrix.T
-        out = [xi_samples[:, self.col_index[r]] @ m_t for r in range(self.n_strata)]
+        out = [self.stratum_logrates(xi_samples, r) for r in range(self.n_strata)]
         return np.concatenate(out, axis=1)
 
     def design_transpose_apply(self, v_flat: np.ndarray) -> np.ndarray:
@@ -1149,11 +1146,14 @@ class PosteriorFit:
     @property
     def lograte_samples(self) -> np.ndarray:
         """(n, R * cells) log rates of the draws, computed on each read so
-        that a fit holds only its latent draws."""
+        that a fit holds only its latent draws.  The whole-matrix reader:
+        the package's own posterior readers stream per stratum through
+        ``LatentModel.stratum_logrates`` instead."""
         return self.model.logrates_samples(self.samples)
 
     def lograte_cube(self) -> np.ndarray:
-        """(n, R, A, T) view of the log-rate samples."""
+        """(n, R, A, T) view of the log-rate samples (whole-matrix, as
+        ``lograte_samples``)."""
         n = self.samples.shape[0]
         g = self.model.grid
         return self.lograte_samples.reshape(
@@ -1235,7 +1235,8 @@ def _gaussian_draws(mode: ModeResult, n: int, rng: np.random.Generator) -> np.nd
         return np.empty((0, mode.xi.shape[0]))
     z = rng.standard_normal((mode.xi.shape[0], n))
     delta = sla.solve_triangular(mode.chol, z, lower=True, trans="T")
-    return (mode.xi[:, None] + delta).T
+    delta += mode.xi[:, None]
+    return delta.T
 
 
 def fit_model(

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import logsumexp
 
+from . import _kernels
 from .covariance import STRUCTURES, AdjacencyGraph, CrossStrataStructure
 from .core import BaselineSpec
 from .inference import (
@@ -53,29 +54,64 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     likelihood; waic = -2 (lppd - p_waic).  Cells with non-finite entries
     (e.g. all-zero predictive mass) are flagged, excluded from the sums, and
     reported.
+
+    Both terms are per cell, so they are computed over column blocks; each
+    block is copied to Fortran order so that every cell reduces over one
+    contiguous column and its terms do not depend on the block width.
     """
     ll = np.asarray(loglik_samples, dtype=float)
     if ll.ndim != 2 or ll.shape[0] < 2:
         raise ValueError("need a (n_samples >= 2, n_cells) matrix")
-    finite = np.all(np.isfinite(ll), axis=0)
+    n, cells = ll.shape
+    finite = np.empty(cells, dtype=bool)
+    lse = np.empty(cells)
+    var = np.empty(cells)
+    for cols in _kernels.blocks(cells, n):
+        block = np.asfortranarray(ll[:, cols])
+        keep = np.all(np.isfinite(block), axis=0)
+        finite[cols] = keep
+        if not keep.all():
+            block = block[:, keep]
+        lse[cols][keep] = logsumexp(block, axis=0)
+        var[cols][keep] = np.var(block, axis=0, ddof=1)
     flagged = np.flatnonzero(~finite)
     if flagged.size:
         warnings.warn(
             f"{flagged.size} cells with non-finite log likelihoods excluded from WAIC",
             RuntimeWarning,
         )
-    use = ll[:, finite]
-    n = ll.shape[0]
-    lppd = float(np.sum(logsumexp(use, axis=0) - np.log(n)))
-    p_waic = float(np.sum(np.var(use, axis=0, ddof=1)))
+    lppd = float(np.sum(lse[finite] - np.log(n)))
+    p_waic = float(np.sum(var[finite]))
     return WaicResult(
         waic=-2.0 * (lppd - p_waic), lppd=lppd, p_waic=p_waic, flagged_cells=flagged
     )
 
 
 def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
-    """Per-posterior-sample, per-observed-cell Poisson log likelihoods."""
-    return PoissonLikelihood(data).pointwise(fit.lograte_samples)
+    """Per-posterior-sample, per-observed-cell Poisson log likelihoods,
+    (n_samples, n_observed) in the model's cell order.
+
+    The draws are mapped to log rates one stratum at a time and the kernel
+    writes each stratum's observed cells straight into the output, so no
+    (n_samples, R * cells) log-rate matrix is built.
+    """
+    model = fit.model
+    lik = PoissonLikelihood(data)
+    y = lik.y[lik.observed]
+    exposure = lik.exposure[lik.observed]
+    out = np.empty((fit.n_samples, y.shape[0]))
+    start = 0
+    for r, keep in enumerate(lik.observed.reshape(model.n_strata, -1)):
+        cols = slice(start, start + np.count_nonzero(keep))
+        start = cols.stop
+        _kernels.pointwise_poisson_ll(
+            model.stratum_logrates(fit.samples, r)[:, keep],
+            y[cols],
+            exposure[cols],
+            lik.cell_constants[cols],
+            out=out[:, cols],
+        )
+    return out
 
 
 @dataclass

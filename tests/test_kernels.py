@@ -9,7 +9,14 @@ import pytest
 from scipy.stats import poisson
 
 from stratapc import _kernels, _threads
-from stratapc.inference import MortalityDataset, PoissonLikelihood, flatten_cells
+from stratapc.inference import (
+    MortalityDataset,
+    PoissonLikelihood,
+    PosteriorFit,
+    assemble_model,
+    flatten_cells,
+)
+from stratapc.selection import pointwise_loglik
 
 
 @pytest.fixture
@@ -47,8 +54,12 @@ class TestPaths:
 
     def test_pointwise_matches_scipy(self, likelihood_case, rng):
         ds, y, exposure, obs = likelihood_case
-        logrates = rng.normal(np.log(0.02), 0.3, size=(30, obs.size))
-        ll = PoissonLikelihood(ds).pointwise(logrates)
+        model = assemble_model(ds.grid, ds.n_strata, "M6", "independent")
+        samples = rng.normal(0.0, 0.1, size=(30, model.free_dim))
+        samples[:, model.col_index[:, 0]] += np.log(0.02)  # each stratum's intercept
+        fit = PosteriorFit(model, model.default_eta(), samples[0], samples, 0.0, 0)
+        ll = pointwise_loglik(fit, ds)
+        logrates = fit.lograte_samples
         expected = poisson.logpmf(y[None, :], exposure[None, :] * np.exp(logrates[:, obs]))
         assert ll.shape == (30, obs.sum())
         assert np.allclose(ll, expected, rtol=1e-10, atol=1e-10)
