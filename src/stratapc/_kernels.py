@@ -30,6 +30,42 @@ def blocks(length: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
+def percentiles(a, q):
+    """``np.percentile(a, q, axis=0)`` of a float (n, m) matrix for a
+    sequence ``q`` of percentiles in [0, 100], (len(q), m), equal to it
+    element for element, with one sort per column block.
+
+    Each block of columns is copied transposed, so that a column is one
+    contiguous row, and sorted in place.  The interpolation is numpy's
+    default (linear) method step by step: virtual index (n - 1) q / 100,
+    the rows at its floor and floor + 1 (the last row at most), and
+    numpy's ``_lerp``, which counts back from the upper value when the
+    weight is 0.5 or more.  (numpy takes the last row for both neighbours
+    at q = 100 and weights them by n; the two rows are equal there, so the
+    value is the same.)  A block holding NaN goes through
+    ``np.percentile``, which returns NaN for the columns that hold one."""
+    a = np.asarray(a, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n, m = a.shape
+    virtual = (n - 1) * (q / 100)
+    lo = np.floor(virtual).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    t = (virtual - lo)[:, None]
+    upper_half = t >= 0.5
+    out = np.empty((virtual.size, m))
+    for cols in blocks(m, n):
+        block = np.ascontiguousarray(a[:, cols].T)
+        block.sort(axis=1)
+        if np.isnan(block[:, -1]).any():
+            out[:, cols] = np.percentile(a[:, cols], q, axis=0)
+            continue
+        below, above = block[:, lo].T, block[:, hi].T
+        diff = above - below
+        res = np.add(below, diff * t, out=out[:, cols])
+        np.subtract(above, diff * (1 - t), out=res, where=upper_half)
+    return out
+
+
 def poisson_ll_grad_w(mu, y, exposure, observed):
     """Core Poisson terms over flat cells: sum of y*mu - N*exp(mu) on the
     observed cells, plus per-cell gradient (y - N e^mu) and weight N e^mu

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
+from . import _kernels
 from .config import ConfigError, RunConfig
 from .core import GridSpec
 from .covariance import DisconnectedGraphError
@@ -241,7 +242,7 @@ def _lograte_percentiles(fit) -> np.ndarray:
     g = model.grid
     out = np.empty((3, model.n_strata, g.n_age, g.n_period))
     for r in range(model.n_strata):
-        q = np.percentile(model.stratum_logrates(fit.samples, r), [2.5, 50.0, 97.5], axis=0)
+        q = _kernels.percentiles(model.stratum_logrates(fit.samples, r), [2.5, 50.0, 97.5])
         out[:, r] = q.reshape(3, g.n_period, g.n_age).transpose(0, 2, 1)
     return out
 

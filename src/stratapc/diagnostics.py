@@ -116,7 +116,8 @@ def hindcast(
     Log rates are mapped only for the strata holding targets, one stratum
     at a time, into the output array; the counts then replace them over row
     blocks, which consume the generator in C order as one whole-matrix draw
-    would, and the percentiles are taken over column blocks."""
+    would, and the percentiles sort each column block once
+    (``_kernels.percentiles``)."""
     if exposures is None:
         raise ValueError("hindcasting requires exposures for the target cells")
     targets = np.atleast_2d(np.asarray(targets, dtype=int))
@@ -148,11 +149,7 @@ def hindcast(
         rate = np.exp(samples[rows])
         rate *= n_target
         samples[rows] = rng.poisson(rate)
-    lower, median, upper = np.empty((3, n_targets))
-    for cols in _kernels.blocks(n_targets, n):
-        lower[cols], median[cols], upper[cols] = np.percentile(
-            samples[:, cols], [2.5, 50.0, 97.5], axis=0
-        )
+    lower, median, upper = _kernels.percentiles(samples, [2.5, 50.0, 97.5])
     return HindcastResult(
         targets=targets, samples=samples, median=median, lower=lower, upper=upper
     )
@@ -252,7 +249,7 @@ def cross_strata_rr(
         canon_r1, canon_r2, model.parts, block, shared
     )
     rr = np.exp(log_contrast - log_contrast[:, [0]])
-    lower, median, upper = np.percentile(rr, [2.5, 50.0, 97.5], axis=0)
+    lower, median, upper = _kernels.percentiles(rr, [2.5, 50.0, 97.5])
     return RRResult(
         block=block,
         r1=r1,

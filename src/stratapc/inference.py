@@ -207,8 +207,13 @@ class PoissonLikelihood:
     def value_grad_weights(self, mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         if not np.all(np.isfinite(mu)):
             return -np.inf, np.zeros_like(mu), np.zeros_like(mu)
-        core, grad, w = _kernels.poisson_ll_grad_w(mu, self.y, self.exposure, self.observed)
+        # a Newton trial step can overshoot to a finite mu whose exp
+        # overflows; the -inf value rejects the step, so say so in the log
+        # rather than as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            core, grad, w = _kernels.poisson_ll_grad_w(mu, self.y, self.exposure, self.observed)
         if not np.isfinite(core):
+            logger.debug("Poisson log likelihood not finite (exp overflowed): point rejected")
             return -np.inf, grad, w
         return core + self.constant, grad, w
 

@@ -93,7 +93,8 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
 
     The draws are mapped to log rates one stratum at a time and the kernel
     writes each stratum's observed cells straight into the output, so no
-    (n_samples, R * cells) log-rate matrix is built.
+    (n_samples, R * cells) log-rate matrix is built; a stratum with every
+    cell observed is read without a copy.
     """
     model = fit.model
     lik = PoissonLikelihood(data)
@@ -104,8 +105,9 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
     for r, keep in enumerate(lik.observed.reshape(model.n_strata, -1)):
         cols = slice(start, start + np.count_nonzero(keep))
         start = cols.stop
+        logrates = model.stratum_logrates(fit.samples, r)
         _kernels.pointwise_poisson_ll(
-            model.stratum_logrates(fit.samples, r)[:, keep],
+            logrates if keep.all() else logrates[:, keep],
             y[cols],
             exposure[cols],
             lik.cell_constants[cols],

@@ -3,17 +3,21 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
 from stratapc import _kernels, _threads
+from stratapc.core import GridSpec
+from stratapc.data import simulate_dataset
 from stratapc.inference import (
     MortalityDataset,
     PoissonLikelihood,
     PosteriorFit,
     assemble_model,
+    conditional_mode,
     flatten_cells,
 )
 from stratapc.selection import pointwise_loglik
@@ -91,6 +95,72 @@ class TestPaths:
             for c in range(samples.shape[1])
         ]
         assert np.allclose(_kernels.pit_mean_cdf(samples, y), expected, rtol=0, atol=1e-15)
+
+
+class TestPercentiles:
+    """``_kernels.percentiles`` against ``np.percentile`` to the bit."""
+
+    Q = [0.0, 2.5, 50.0, 97.5, 100.0]
+
+    @staticmethod
+    def with_ties(rng, n):
+        # continuous columns, small counts (many ties) and a constant column
+        return np.column_stack([
+            rng.normal(size=(n, 12)),
+            rng.poisson(2.0, size=(n, 12)).astype(float),
+            np.full(n, 3.0),
+        ])
+
+    @pytest.mark.parametrize("block", [1, 350, 1 << 16])
+    @pytest.mark.parametrize("n", [2, 3, 2000])
+    def test_equals_numpy(self, block, n, monkeypatch, rng):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        a = self.with_ties(rng, n)
+        assert np.array_equal(_kernels.percentiles(a, self.Q), np.percentile(a, self.Q, axis=0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 350])
+    def test_nan_and_inf_columns(self, block, monkeypatch, rng):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        a = self.with_ties(rng, 50)
+        a[17, 3] = np.nan
+        a[5, 20] = np.inf  # numpy's 100th percentile of this column is NaN
+        got = _kernels.percentiles(a, self.Q)
+        assert np.isnan(got[:, 3]).all()
+        assert np.array_equal(got, np.percentile(a, self.Q, axis=0), equal_nan=True)
+
+
+class TestOverflow:
+    """A trial point whose exp overflows is rejected without a numpy
+    warning, with one DEBUG line on ``stratapc.inference`` instead."""
+
+    def test_likelihood_rejects_overflow_quietly(self, likelihood_case):
+        ds = likelihood_case[0]
+        mu = np.full(flatten_cells(ds.observed).size, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, _, _ = PoissonLikelihood(ds).value_grad_weights(mu)
+        assert ll == -np.inf
+
+    def test_mode_is_unchanged_with_warnings_as_errors(self, caplog):
+        # on this surface Newton steps from the default start overshoot
+        # into exp overflow, as on the posterior benchmark surface
+        grid = GridSpec(n_age=17, n_period=18, interval_width=1.0)
+        ds, truth = simulate_dataset(
+            grid, 3, pattern="M4", structure="exchangeable", exposure=1e5, seed=8
+        )
+        model = assemble_model(grid, 3, "M4", "exchangeable")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = conditional_mode(model, truth.eta, data=ds)
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="stratapc.inference"):
+            warnings.simplefilter("error")
+            strict = conditional_mode(model, truth.eta, data=ds)
+        assert np.array_equal(strict.xi, quiet.xi)
+        assert strict.objective == quiet.objective and strict.n_iter == quiet.n_iter
+        rejected = [r for r in caplog.records if "not finite" in r.getMessage()]
+        assert rejected
+        assert all(r.name == "stratapc.inference" and r.levelno == logging.DEBUG for r in rejected)
 
 
 # Reads each loaded OpenBLAS's thread count without importing the package
@@ -172,3 +242,11 @@ class TestEnvFlag:
         xi_one, xi_two = np.array(one["xi"]), np.array(two["xi"])
         assert np.linalg.norm(xi_one - xi_two) <= 1e-10 * np.linalg.norm(xi_one)
         assert one["laplace"] == pytest.approx(two["laplace"], rel=1e-10)
+
+
+@pytest.mark.parametrize("module", ["stratapc", "stratapc.cli"])
+def test_import_leaves_scipy_stats_out(module):
+    # a fresh interpreter: the test process itself imports scipy.stats
+    loaded = _run(f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert module in loaded and "scipy.special" in loaded and "scipy.optimize" in loaded
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]

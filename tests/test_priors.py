@@ -50,6 +50,15 @@ class TestElicitation:
         with pytest.raises(ValueError):
             PrecisionElicitation(epsilon=0.1, q=1.0)
 
+    @pytest.mark.parametrize("q", [1e-6, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])
+    def test_rate_is_the_scipy_stats_formula_to_the_bit(self, q):
+        # the formula as written with scipy.stats, which the package no
+        # longer imports
+        for eps in (1e-4, np.log(1.01), np.log(1.1), np.log(1.2), 0.5, 3.0):
+            e = PrecisionElicitation(epsilon=eps, q=q)
+            expected = float((eps / sstats.t.ppf(1.0 - q / 2.0, df=2)) ** 2 / 2.0)
+            assert elicit_precision_rate(e) == expected
+
     def test_mixture_identity_quick(self):
         # full-size Monte Carlo runs in the acceptance suite
         e = PrecisionElicitation(epsilon=np.log(1.1), q=0.05)
@@ -72,6 +81,18 @@ class TestBaselineMeanPrior:
         # -51% to +68% for the cohort slope
         assert (lo - 1) * 100 == pytest.approx(-51.0, abs=0.5)
         assert (hi - 1) * 100 == pytest.approx(68.0, abs=0.5)
+
+    @pytest.mark.parametrize("level", [1e-6, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-12])
+    def test_interval_is_the_scipy_stats_formula_to_the_bit(self, level):
+        prior = BaselineMeanPrior(
+            mean=np.array([np.log(0.005), 0.3, -0.1]), variances=np.array([1.0, 0.1, 2.5e-3])
+        )
+        z = sstats.norm.ppf(0.5 + level / 2.0)
+        for k in range(3):
+            half = z * float(np.sqrt(prior.variances[k]))
+            center = float(prior.mean[k])
+            expected = (float(np.exp(center - half)), float(np.exp(center + half)))
+            assert prior.interval(k, level) == expected
 
     def test_logpdf_matches_scipy(self, rng):
         prior = default_baseline_mean_prior()

@@ -1,7 +1,8 @@
 """The streamed posterior readers against their one-shot formulas.
 
-``pointwise_loglik``, ``waic``, ``hindcast``, ``pit`` and the CLI's log-rate
-percentiles work per stratum or over blocks of ``_kernels.BLOCK`` elements.
+``pointwise_loglik``, ``waic``, ``hindcast``, ``pit``, the relative-risk
+curves and the CLI's log-rate percentiles work per stratum or over blocks of
+``_kernels.BLOCK`` elements.
 The one-shot formulas they replaced are kept here as oracles.  With the
 block constant patched small, every blocked path crosses several block
 boundaries (width-one blocks, and a ragged last block) and must still
@@ -19,7 +20,13 @@ from scipy.special import logsumexp
 from stratapc import _kernels
 from stratapc.cli import _lograte_percentiles
 from stratapc.core import GridSpec
-from stratapc.diagnostics import _reflected_kde, hindcast, pit
+from stratapc.diagnostics import (
+    _reflected_kde,
+    contrast_curve_from_canonical,
+    cross_strata_rr,
+    hindcast,
+    pit,
+)
 from stratapc.inference import (
     MortalityDataset,
     PoissonLikelihood,
@@ -122,6 +129,18 @@ def test_pointwise_loglik_matches_whole_matrix(fit, dataset):
     assert np.array_equal(ll, whole_matrix_pointwise(dataset, fit.lograte_samples))
 
 
+def test_pointwise_loglik_fully_observed_matches_whole_matrix(dataset):
+    # every stratum's cells observed: the log rates are read without a copy
+    full = MortalityDataset.from_arrays(
+        dataset.counts, dataset.exposures, observed=np.ones(SHAPE, dtype=bool)
+    )
+    model = assemble_model(full.grid, full.n_strata, "M6", "exchangeable")
+    fit = draws_fit(model, N_DRAWS, seed=1)
+    ll = pointwise_loglik(fit, full)
+    assert ll.shape == (N_DRAWS, full.observed.size)
+    assert np.array_equal(ll, whole_matrix_pointwise(full, fit.lograte_samples))
+
+
 @pytest.mark.parametrize("bad_cells", [(), (0, 13, 14, 89)])
 def test_waic_matches_whole_matrix(small_blocks, bad_cells, rng):
     ll = rng.normal(-3.0, 1.5, size=(N_DRAWS, 90))
@@ -176,6 +195,21 @@ def test_pit_matches_whole_matrix(small_blocks, rng):
 def test_fit_percentiles_match_lograte_cube(fit):
     whole = np.percentile(fit.lograte_cube(), [2.5, 50.0, 97.5], axis=0)
     assert np.array_equal(_lograte_percentiles(fit), whole)
+
+
+def test_rr_percentiles_match_numpy(dataset):
+    model = assemble_model(dataset.grid, dataset.n_strata, "M4", "exchangeable")
+    fit = draws_fit(model, N_DRAWS, seed=2)
+    result = cross_strata_rr(fit, "period", 0, 2)
+    curve = contrast_curve_from_canonical(
+        fit.samples[:, model.col_index[0]], fit.samples[:, model.col_index[2]],
+        model.parts, "period", model.pattern.shared,
+    )
+    rr = np.exp(curve - curve[:, [0]])
+    lower, median, upper = np.percentile(rr, [2.5, 50.0, 97.5], axis=0)
+    assert np.array_equal(result.lower, lower)
+    assert np.array_equal(result.median, median)
+    assert np.array_equal(result.upper, upper)
 
 
 def test_gaussian_draws_match_whole_formula(dataset):
