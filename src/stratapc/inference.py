@@ -218,27 +218,19 @@ class PoissonLikelihood:
         return core + self.constant, grad, w
 
 
-class GaussianPseudoLikelihood:
-    """Gaussian stand-in likelihood on the observed cells, used to validate
-    the Laplace approximation where it is exact."""
-
-    def __init__(self, z: np.ndarray, noise_variance: float, observed: np.ndarray | None = None):
-        self.z = np.asarray(z, dtype=float).ravel()
-        self.noise_variance = float(noise_variance)
-        if observed is None:
-            observed = np.ones_like(self.z, dtype=bool)
-        self.observed = np.asarray(observed, dtype=bool).ravel()
-        n_obs = int(self.observed.sum())
-        self.constant = -0.5 * n_obs * np.log(2.0 * np.pi * self.noise_variance)
-
-    def value_grad_weights(self, mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        if not np.all(np.isfinite(mu)):
-            return -np.inf, np.zeros_like(mu), np.zeros_like(mu)
-        resid = np.where(self.observed, self.z - mu, 0.0)
-        ll = self.constant - 0.5 * float(np.sum(resid**2)) / self.noise_variance
-        grad = resid / self.noise_variance
-        w = np.where(self.observed, 1.0 / self.noise_variance, 0.0)
-        return ll, grad, w
+def as_likelihood(data):
+    """The likelihood behind an inference entry point's ``data`` argument:
+    a ``PoissonLikelihood`` built from a ``MortalityDataset``, or ``data``
+    itself when it is already a likelihood, i.e. it has
+    ``value_grad_weights(mu) -> (value, grad, weights)``."""
+    if isinstance(data, MortalityDataset):
+        return PoissonLikelihood(data)
+    if callable(getattr(data, "value_grad_weights", None)):
+        return data
+    raise TypeError(
+        "data must be a MortalityDataset or a likelihood with "
+        f"value_grad_weights(mu), not {type(data).__name__}"
+    )
 
 
 class LatentPrior:
@@ -562,18 +554,20 @@ class LatentModel:
 
     def default_init(self, likelihood) -> np.ndarray:
         """Zero start, with baseline coordinates seeded from the crude rate
-        log(sum y / sum N) over the observed baseline cells (prior mean when
-        those cells are all missing)."""
+        log(sum y / sum N) over the observed baseline cells of a
+        ``PoissonLikelihood`` (prior mean when those cells are all missing,
+        and for any other likelihood)."""
         xi = np.zeros(self.free_dim)
         offset, length, shared = self.blocks["baseline"]
         cells = self.grid.n_cells
         b_rows = self.parts.baseline_rows
         prior_mean = self.prior_config.baseline_mean.mean
+        poisson = isinstance(likelihood, PoissonLikelihood)
 
         def crude(strata: Sequence[int]) -> np.ndarray:
-            rows = np.concatenate([r * cells + b_rows for r in strata])
-            use = rows[likelihood.observed[rows]] if hasattr(likelihood, "observed") else rows
-            if use.size and hasattr(likelihood, "y"):
+            if poisson:
+                rows = np.concatenate([r * cells + b_rows for r in strata])
+                use = rows[likelihood.observed[rows]]
                 ysum = float(likelihood.y[use].sum())
                 nsum = float(likelihood.exposure[use].sum())
                 if ysum > 0 and nsum > 0:
@@ -898,8 +892,7 @@ class ModeResult:
 def conditional_mode(
     model: LatentModel,
     eta: HyperParameters,
-    data: MortalityDataset | None = None,
-    likelihood=None,
+    data,
     init: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 100,
@@ -907,14 +900,13 @@ def conditional_mode(
 ) -> ModeResult:
     """Newton/IRLS maximization of loglik + latent log prior at fixed eta.
 
-    Converges when the gradient max-norm drops below ``tol`` or the relative
-    objective change drops below 1e-12; raises ModeError (with the last
-    iterate attached) on non-convergence or a failed line search.
+    ``data`` is a ``MortalityDataset`` or a likelihood already built from
+    one (see ``as_likelihood``).  Converges when the gradient max-norm drops
+    below ``tol`` or the relative objective change drops below 1e-12;
+    raises ModeError (with the last iterate attached) on non-convergence or
+    a failed line search.
     """
-    if likelihood is None:
-        if data is None:
-            raise ValueError("pass data or likelihood")
-        likelihood = PoissonLikelihood(data)
+    likelihood = as_likelihood(data)
     prior = model.latent_prior(eta)
     xi = model.default_init(likelihood) if init is None else np.array(init, dtype=float)
 
@@ -1018,26 +1010,38 @@ def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
 def laplace_log_marginal(
     model: LatentModel,
     eta: HyperParameters,
-    data: MortalityDataset | None = None,
-    likelihood=None,
+    data,
     init: np.ndarray | None = None,
 ) -> float:
     """Laplace approximation of the log joint of data and hyperparameters:
     loglik + latent prior at the mode - 1/2 logdet(H) + (dim/2) log 2pi,
-    plus the hyperprior log density."""
-    value, _ = _laplace_with_mode(model, eta, data=data, likelihood=likelihood, init=init)
+    plus the hyperprior log density.  ``data`` is a ``MortalityDataset`` or
+    a likelihood (see ``as_likelihood``)."""
+    value, _ = _laplace_with_mode(model, eta, data, init=init)
     return value
 
 
 def _laplace_with_mode(
     model: LatentModel,
     eta: HyperParameters,
-    data: MortalityDataset | None = None,
-    likelihood=None,
+    data,
     init: np.ndarray | None = None,
 ) -> tuple[float, ModeResult]:
-    mode = conditional_mode(model, eta, data=data, likelihood=likelihood, init=init)
+    """``laplace_log_marginal`` and the mode it was taken at."""
+    mode = conditional_mode(model, eta, data, init=init)
     return _log_marginal(model, eta, mode), mode
+
+
+def _laplace_at(
+    model: LatentModel, x: np.ndarray, data, init: np.ndarray | None
+) -> tuple[float, ModeResult] | None:
+    """``_laplace_with_mode`` at transformed hyperparameters ``x``, or None
+    where ``x`` maps to no valid eta or the mode or its factorization
+    fails."""
+    try:
+        return _laplace_with_mode(model, model.eta_from_vector(x), data, init=init)
+    except (ModeError, ValueError, sla.LinAlgError):
+        return None
 
 
 def _log_marginal(model: LatentModel, eta: HyperParameters, mode: ModeResult) -> float:
@@ -1062,35 +1066,28 @@ class OptimizationResult:
 
 def optimize_hyperparameters(
     model: LatentModel,
-    data: MortalityDataset | None = None,
-    likelihood=None,
+    data,
     init: HyperParameters | None = None,
     budget: int = 2000,
     rel_tol: float = 1e-6,
 ) -> OptimizationResult:
     """Maximize the Laplace objective over transformed hyperparameters
     (log precisions, transformed correlations, raw baseline means) with a
-    derivative-free simplex search.  Deterministic given the initial point;
-    exhausting the budget returns the best point with a warning flag."""
-    if likelihood is None:
-        if data is None:
-            raise ValueError("pass data or likelihood")
-        likelihood = PoissonLikelihood(data)
+    derivative-free simplex search.  ``data`` is a ``MortalityDataset`` or
+    a likelihood (see ``as_likelihood``), resolved once for the whole
+    search.  Deterministic given the initial point; exhausting the budget
+    returns the best point with a warning flag."""
+    likelihood = as_likelihood(data)
     x0 = model.eta_to_vector(init if init is not None else model.default_eta())
     state: dict = {"best": None, "best_val": -np.inf, "warm": None, "n": 0}
     big = 1e30
 
     def negobj(x: np.ndarray) -> float:
         state["n"] += 1
-        try:
-            eta = model.eta_from_vector(x)
-            val, mode = _laplace_with_mode(
-                model, eta, likelihood=likelihood, init=state["warm"]
-            )
-        except (ModeError, ValueError, sla.LinAlgError):
+        point = _laplace_at(model, x, likelihood, state["warm"])
+        if point is None or not np.isfinite(point[0]):
             return big
-        if not np.isfinite(val):
-            return big
+        val, mode = point
         state["warm"] = mode.xi
         if val > state["best_val"]:
             state["best_val"] = val
@@ -1166,31 +1163,34 @@ class PosteriorFit:
         ).transpose(0, 1, 3, 2)
 
 
+# step of the ``eta_grid`` axial points, in transformed coordinates
+_ETA_GRID_DELTA = 0.5
+
+
 def sample_posterior(
     model: LatentModel,
     eta_hat: HyperParameters,
-    data: MortalityDataset | None = None,
+    data,
     n: int = 1000,
     seed: int = 0,
-    likelihood=None,
     mode: ModeResult | None = None,
     log_marginal: float | None = None,
     eta_grid: bool = False,
-    grid_delta: float = 0.5,
 ) -> PosteriorFit:
     """Draw latent samples from the Gaussian approximation N(mode, H^-1) at
     the plugged-in hyperparameters; the fit maps them to log rates on read.
+    ``data`` is a ``MortalityDataset`` or a likelihood (see
+    ``as_likelihood``); ``mode`` and ``log_marginal``, when given, are
+    taken as found at ``eta_hat``.
 
-    With ``eta_grid`` enabled, an axial grid of hyperparameter points around
-    the optimum is weighted by the Laplace objective and the draw becomes a
-    mixture over those points.
+    With ``eta_grid`` enabled, an axial grid of hyperparameter points
+    ``_ETA_GRID_DELTA`` either side of the optimum on each transformed axis
+    is weighted by the Laplace objective and the draw becomes a mixture over
+    those points.
     """
-    if likelihood is None:
-        if data is None:
-            raise ValueError("pass data or likelihood")
-        likelihood = PoissonLikelihood(data)
+    likelihood = as_likelihood(data)
     if mode is None:
-        mode = conditional_mode(model, eta_hat, likelihood=likelihood)
+        mode = conditional_mode(model, eta_hat, likelihood)
     if log_marginal is None:
         log_marginal = _log_marginal(model, eta_hat, mode)
     rng = np.random.default_rng(seed)
@@ -1204,14 +1204,10 @@ def sample_posterior(
         for i in range(x_hat.shape[0]):
             for sgn in (-1.0, 1.0):
                 x = x_hat.copy()
-                x[i] += sgn * grid_delta
-                try:
-                    val, m = _laplace_with_mode(
-                        model, model.eta_from_vector(x), likelihood=likelihood, init=mode.xi
-                    )
-                    points.append((x, val, m))
-                except (ModeError, ValueError, sla.LinAlgError):
-                    continue
+                x[i] += sgn * _ETA_GRID_DELTA
+                point = _laplace_at(model, x, likelihood, mode.xi)
+                if point is not None:
+                    points.append((x, *point))
         vals = np.array([p[1] for p in points])
         weights = np.exp(vals - vals.max())
         weights /= weights.sum()
@@ -1246,7 +1242,7 @@ def _gaussian_draws(mode: ModeResult, n: int, rng: np.random.Generator) -> np.nd
 
 def fit_model(
     model: LatentModel,
-    data: MortalityDataset,
+    data,
     n_samples: int = 1000,
     seed: int = 0,
     init: HyperParameters | None = None,
@@ -1255,15 +1251,15 @@ def fit_model(
     eta_grid: bool = False,
 ) -> PosteriorFit:
     """Optimize hyperparameters, then sample the posterior; the one-call
-    entry point used by the model grid and the CLI."""
-    likelihood = PoissonLikelihood(data)
-    opt = optimize_hyperparameters(
-        model, likelihood=likelihood, init=init, budget=budget, rel_tol=rel_tol
-    )
+    entry point used by the model grid and the CLI.  ``data`` (a dataset
+    or a likelihood, see ``as_likelihood``) is resolved once and passed
+    down to both steps."""
+    likelihood = as_likelihood(data)
+    opt = optimize_hyperparameters(model, likelihood, init=init, budget=budget, rel_tol=rel_tol)
     fit = sample_posterior(
         model,
         opt.eta_hat,
-        likelihood=likelihood,
+        likelihood,
         n=n_samples,
         seed=seed,
         mode=opt.mode,

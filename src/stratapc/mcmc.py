@@ -24,8 +24,7 @@ from .inference import (
     HyperParameters,
     LatentModel,
     ModeError,
-    MortalityDataset,
-    PoissonLikelihood,
+    as_likelihood,
     conditional_mode,
 )
 
@@ -43,9 +42,6 @@ class McmcResult:
     accept_hyper: float
     ess: np.ndarray                   # per latent component
     mixing_ok: bool
-
-    def eta_mean(self) -> np.ndarray:
-        return self.eta_samples.mean(axis=0)
 
 
 def effective_sample_size(x: np.ndarray) -> float:
@@ -77,12 +73,11 @@ def effective_sample_size(x: np.ndarray) -> float:
 
 def mcmc_oracle(
     model: LatentModel,
-    data: MortalityDataset | None = None,
+    data,
     iterations: int = 20000,
     burn_in: int = 5000,
     seed: int = 0,
     thin: int = 5,
-    likelihood=None,
     init_eta: HyperParameters | None = None,
     fix_eta: bool = False,
     independence_fraction: float = 0.4,
@@ -90,14 +85,13 @@ def mcmc_oracle(
 ) -> McmcResult:
     """Run the sampling oracle and return post-burn-in thinned draws.
 
-    Intended for small instances (free_dim up to a couple hundred).  Always
-    returns samples; poor mixing is flagged through the per-component
-    effective sample sizes rather than raised.
+    ``data`` is a ``MortalityDataset`` or a likelihood already built from
+    one (see ``inference.as_likelihood``).  Intended for small instances
+    (free_dim up to a couple hundred).  Always returns samples; poor mixing
+    is flagged through the per-component effective sample sizes rather
+    than raised.
     """
-    if likelihood is None:
-        if data is None:
-            raise ValueError("pass data or likelihood")
-        likelihood = PoissonLikelihood(data)
+    likelihood = as_likelihood(data)
     if model.free_dim > 200:
         logger.warning("mcmc_oracle on free_dim=%d; this is a small-instance oracle", model.free_dim)
 
@@ -116,7 +110,7 @@ def mcmc_oracle(
     def conditional_gaussian(eta_obj: HyperParameters, start: np.ndarray):
         """Mode and Hessian factor at the current hyperparameters; a
         deterministic function of eta, so proposals built from it are valid."""
-        mode = conditional_mode(model, eta_obj, likelihood=likelihood, init=start)
+        mode = conditional_mode(model, eta_obj, likelihood, init=start)
         return mode.xi, mode.chol, mode.logdet_hessian
 
     prior = model.latent_prior(eta)

@@ -55,22 +55,6 @@ def elicit_precision_rate(e: PrecisionElicitation) -> float:
     return float((e.epsilon / t_quantile) ** 2 / 2.0)
 
 
-def prediction_residual_coverage(
-    e: PrecisionElicitation, n_draws: int, seed: int
-) -> float:
-    """Monte Carlo check of the elicitation formula.
-
-    Draws tau from the elicited exponential prior and a residual with
-    conditional variance 2/tau; returns the fraction with |residual| <=
-    epsilon, which should match 1 - q.
-    """
-    rng = np.random.default_rng(seed)
-    rate = e.rate
-    tau = rng.exponential(scale=1.0 / rate, size=n_draws)
-    residual = rng.standard_normal(n_draws) * np.sqrt(2.0 / tau)
-    return float(np.mean(np.abs(residual) <= e.epsilon))
-
-
 @dataclass(frozen=True)
 class BaselineMeanPrior:
     """Independent normal prior on the three baseline coordinates."""

@@ -35,7 +35,6 @@ from stratapc.covariance import (
 from stratapc.data import simulate_dataset
 from stratapc.diagnostics import hindcast, ks_distance_from_uniform, pit
 from stratapc.inference import (
-    GaussianPseudoLikelihood,
     MortalityDataset,
     PoissonLikelihood,
     assemble_model,
@@ -50,10 +49,10 @@ from stratapc.priors import (
     PCPriorBYM2,
     PrecisionElicitation,
     default_baseline_mean_prior,
-    prediction_residual_coverage,
 )
 from stratapc.report import read_csv
 from stratapc.selection import GridConfig, fit_grid
+from tests._stand_ins import GaussianPseudoLikelihood, prediction_residual_coverage
 from tests.test_covariance import dense_kron_logpdf, random_connected_graph, random_spd
 
 
@@ -282,7 +281,7 @@ def test_criterion_5_inference():
     sigma2 = 0.3
     z = rng.normal(size=model_g.n_cells)
     lik_g = GaussianPseudoLikelihood(z, sigma2)
-    value = laplace_log_marginal(model_g, eta_g, likelihood=lik_g)
+    value = laplace_log_marginal(model_g, eta_g, data=lik_g)
     design = np.zeros((model_g.n_cells, model_g.free_dim))
     cells = grid.n_cells
     for r in range(model_g.n_strata):

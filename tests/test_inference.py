@@ -18,7 +18,6 @@ from stratapc.covariance import (
 from stratapc.data import simulate_dataset
 from stratapc.inference import (
     BLOCKS,
-    GaussianPseudoLikelihood,
     HyperParameters,
     ModeError,
     MortalityDataset,
@@ -35,6 +34,8 @@ from stratapc.inference import (
     sample_posterior,
     unflatten_cells,
 )
+from stratapc.mcmc import mcmc_oracle
+from tests._stand_ins import GaussianPseudoLikelihood
 
 
 def toy_dataset(rng, grid=None, n_strata=2, exposure=1e4, pattern="M5"):
@@ -385,7 +386,7 @@ class TestLaplace:
         sigma2 = 0.3
         z_cube = rng.normal(size=(2, 4, 4))
         lik = GaussianPseudoLikelihood(flatten_cells(z_cube), sigma2)
-        value = laplace_log_marginal(model, eta, likelihood=lik)
+        value = laplace_log_marginal(model, eta, data=lik)
 
         design = np.zeros((model.n_cells, model.free_dim))
         m = model.parts.matrix
@@ -538,3 +539,44 @@ class TestSamplePosterior:
         assert fit.samples.shape == (500, model.free_dim)
         weights = np.array([w for _, w in fit.eta_grid])
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _optimize_summary(model, eta, data):
+    opt = optimize_hyperparameters(model, data, init=eta, budget=12)
+    return np.append(model.eta_to_vector(opt.eta_hat), [opt.objective, opt.n_evaluations])
+
+
+# each entry point called with ``data`` as its one data argument
+DATA_ENTRY_POINTS = {
+    "conditional_mode": lambda model, eta, data: conditional_mode(model, eta, data).xi,
+    "laplace_log_marginal": laplace_log_marginal,
+    "optimize_hyperparameters": _optimize_summary,
+    "sample_posterior": lambda model, eta, data: sample_posterior(
+        model, eta, data, n=40, seed=3
+    ).samples,
+    "mcmc_oracle": lambda model, eta, data: mcmc_oracle(
+        model, data, iterations=40, burn_in=10, seed=4, thin=2, init_eta=eta
+    ).xi_samples,
+}
+
+
+class TestDataArgument:
+    """``data`` is a dataset or a likelihood already built from it, and
+    both give the same bits; anything else is a TypeError."""
+
+    @pytest.mark.filterwarnings("ignore:hyperparameter search stopped")
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
+    def test_dataset_and_its_likelihood_agree(self, entry, rng):
+        grid = GridSpec(4, 4)
+        ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
+        model = assemble_model(grid, 2, "M5", "exchangeable")
+        eta = model.default_eta()
+        call = DATA_ENTRY_POINTS[entry]
+        assert np.array_equal(call(model, eta, ds), call(model, eta, PoissonLikelihood(ds)))
+
+    @pytest.mark.parametrize("bad", [None, {"counts": np.ones((2, 4, 4))}], ids=["None", "dict"])
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
+    def test_other_data_is_a_type_error(self, entry, bad):
+        model = assemble_model(GridSpec(4, 4), 2, "M5", "independent")
+        with pytest.raises(TypeError, match="data must be a MortalityDataset"):
+            DATA_ENTRY_POINTS[entry](model, model.default_eta(), bad)

@@ -3,7 +3,6 @@ import numpy as np
 from stratapc.core import GridSpec
 from stratapc.data import simulate_dataset
 from stratapc.inference import (
-    GaussianPseudoLikelihood,
     assemble_model,
     conditional_mode,
     flatten_cells,
@@ -11,6 +10,7 @@ from stratapc.inference import (
     sample_posterior,
 )
 from stratapc.mcmc import effective_sample_size, mcmc_oracle
+from tests._stand_ins import GaussianPseudoLikelihood
 
 
 class TestEffectiveSampleSize:
@@ -42,7 +42,7 @@ class TestGaussianConjugate:
 
         result = mcmc_oracle(
             model,
-            likelihood=lik,
+            data=lik,
             iterations=12000,
             burn_in=3000,
             seed=1,

@@ -15,11 +15,11 @@ from stratapc.priors import (
     default_baseline_mean_prior,
     dzeta_drho,
     elicit_precision_rate,
-    prediction_residual_coverage,
     rho_from_zeta,
     sample_prior_predictive,
     zeta_from_rho,
 )
+from tests._stand_ins import prediction_residual_coverage
 
 
 class TestElicitation:

@@ -182,9 +182,9 @@ def test_mode_and_laplace_match_dense(n_strata, pattern, kind, label, value):
     eta = eta_at(model, value)
     likelihood = PoissonLikelihood(dataset(n_strata))
     xi, value_dense = dense_mode(model, eta, likelihood)
-    mode = conditional_mode(model, eta, likelihood=likelihood)
+    mode = conditional_mode(model, eta, data=likelihood)
     assert rel(mode.xi, xi) < 1e-10
-    assert laplace_log_marginal(model, eta, likelihood=likelihood) == pytest.approx(
+    assert laplace_log_marginal(model, eta, data=likelihood) == pytest.approx(
         value_dense, rel=1e-10
     )
 
@@ -201,7 +201,7 @@ def test_near_the_zeta_clip_paths_agree(n_strata, pattern, zeta):
     except (ModeError, sla.LinAlgError):
         value_dense = None
     try:
-        value = laplace_log_marginal(model, eta, likelihood=likelihood)
+        value = laplace_log_marginal(model, eta, data=likelihood)
     except (ModeError, sla.LinAlgError):
         value = None
     assert (value is None) == (value_dense is None)
@@ -261,7 +261,7 @@ def test_ill_conditioned_strata_keep_logdet_and_solve(pattern, kind):
     model = model_for(6, pattern, kind, grid=grid)
     eta = eta_at(model, 1.0)
     likelihood = PoissonLikelihood(ds)
-    mode = conditional_mode(model, eta, likelihood=likelihood)
+    mode = conditional_mode(model, eta, data=likelihood)
     dense = mode.hessian
     assert np.linalg.cond(dense) > 1e7
     sign, logdet = np.linalg.slogdet(dense)
@@ -354,9 +354,9 @@ def test_laplace_needs_no_stacked_scipy_cholesky(pattern, kind, monkeypatch):
     model = model_for(3, pattern, kind)
     eta = eta_at(model, MIXED_ZETAS[0])
     likelihood = PoissonLikelihood(dataset(3))
-    want = laplace_log_marginal(model, eta, likelihood=likelihood)
+    want = laplace_log_marginal(model, eta, data=likelihood)
     monkeypatch.setattr(inference, "sla", _TwoDimensionalCholesky(sla))
-    assert laplace_log_marginal(model, eta, likelihood=likelihood) == want
+    assert laplace_log_marginal(model, eta, data=likelihood) == want
 
 
 class TestJitter:
