@@ -52,11 +52,23 @@ class UsageError(ValueError):
     pass
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type: an integer of at least 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 0, got {text!r}")
-    return int(text)
+def _ranged(cast, ok, need: str):
+    """An argument type: ``cast`` of the text, which must be ``need``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+
+    return parse
+
+
+def _at_least(n: int):
+    return _ranged(int, lambda v: v >= n, f"an integer of at least {n}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,22 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--data", required=True, help="long-format series CSV")
         p.add_argument("--graph", help="adjacency CSV (from,to[,augmented])")
-        p.add_argument("--seed", type=_seed, help="override the config seed")
+        p.add_argument("--seed", type=_at_least(0), help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
 
     pattern_arg = {"type": str.upper, "choices": pattern_names()}
 
     p = sub.add_parser("simulate", help="generate synthetic data from a specified model")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-age", type=int, default=10)
-    p.add_argument("--n-period", type=int, default=10)
-    p.add_argument("--n-strata", type=int, default=4)
+    p.add_argument("--n-age", type=_at_least(3), default=10)
+    p.add_argument("--n-period", type=_at_least(3), default=10)
+    p.add_argument("--n-strata", type=_at_least(1), default=4)
     p.add_argument("--pattern", default="M4", **pattern_arg)
     p.add_argument("--structure", default="independent",
                    choices=["independent", "exchangeable"])
-    p.add_argument("--exposure", type=float, default=1e5)
-    p.add_argument("--missing", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--exposure", default=1e5,
+                   type=_ranged(float, lambda v: 0.0 < v < np.inf, "finite and above 0"))
+    p.add_argument("--missing", default=0.0,
+                   type=_ranged(float, lambda v: 0.0 <= v < 1.0, "at least 0 and below 1"))
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--emit-graph", action="store_true",
                    help="also write a ring adjacency over the strata")
 
@@ -99,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     io_args(p)
     p.add_argument("--models", help="comma-separated pattern subset")
     p.add_argument("--structures", help="comma-separated structure subset")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
 
     p = sub.add_parser("prior-check", help="prior-predictive extrema summary")
     io_args(p)
     p.add_argument("--pattern", default="M6", **pattern_arg)
     p.add_argument("--structure", default="independent", choices=STRUCTURES)
-    p.add_argument("--sims", type=int, default=200)
+    p.add_argument("--sims", type=_at_least(1), default=200)
 
     p = sub.add_parser("hindcast", help="mask cells, refit, predict, PIT")
     io_args(p)
@@ -187,37 +201,23 @@ def _axis_labels(window: GridWindow):
 # handlers
 
 def _cmd_simulate(args) -> int:
-    out = _outdir(args.out)
     grid = GridSpec(n_age=args.n_age, n_period=args.n_period, interval_width=1.0)
-    dataset, truth = simulate_dataset(
-        grid,
-        args.n_strata,
-        pattern=args.pattern,
-        structure=args.structure,
-        exposure=args.exposure,
-        seed=args.seed,
-        missing_fraction=args.missing,
-    )
+    try:
+        dataset, truth = simulate_dataset(
+            grid, args.n_strata, pattern=args.pattern, structure=args.structure,
+            exposure=args.exposure, seed=args.seed, missing_fraction=args.missing,
+        )
+    except ValueError as exc:  # e.g. a structure the pattern or strata cannot carry
+        raise UsageError(str(exc)) from None
+    out = _outdir(args.out)
     window = GridWindow(
         age_start=0, age_end=grid.n_age - 1, year_start=0, year_end=grid.n_period, bin_width=1
     )
     write_series_csv(out / "data.csv", dataset, window)
-    rows = []
-    for r, label in enumerate(dataset.strata):
-        for i in range(grid.n_age):
-            for j in range(grid.n_period):
-                rows.append((label, i, j, truth.logrates[r, i, j]))
+    rows = [(label, i, j, truth.logrates[r, i, j]) for r, label in enumerate(dataset.strata)
+            for i in range(grid.n_age) for j in range(grid.n_period)]
     write_csv(out / "truth.csv", ["stratum", "age", "year", "log_rate"], rows)
-    config_dict = {
-        "grid": {
-            "age_start": 0,
-            "age_end": grid.n_age - 1,
-            "year_start": 0,
-            "year_end": grid.n_period,
-            "bin_width": 1,
-        },
-        "seed": args.seed,
-    }
+    config_dict = {"grid": dataclasses.asdict(window), "seed": args.seed}
     write_json(out / "config.json", config_dict)
     if args.emit_graph:
         labels = dataset.strata

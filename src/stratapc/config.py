@@ -1,7 +1,9 @@
 """Run configuration: a single JSON document covering the aggregation
 window and the settings every fit runs with (baseline placement, priors,
 model-grid selection, seed and solver tolerances).  A key missing from the
-document takes the library default of ``PriorConfig`` and ``GridConfig``."""
+document takes the library default of ``PriorConfig`` and ``GridConfig``;
+a key the document does not define is an error, so a misspelt setting
+cannot silently run with the default."""
 
 from __future__ import annotations
 
@@ -66,11 +68,30 @@ def _setting(section: dict, key: str, name: str, cast, ok, need: str):
     return value
 
 
+# the keys each section may hold
+_SECTIONS = {
+    "grid": tuple(f.name for f in fields(GridWindow)),
+    "baseline": ("coordinates", "triple", "form"),
+    "priors": (*(f"epsilon_{block}" for block in PriorConfig().epsilons),
+               "q", "nu0_mean", "nu0_variances", "exchangeable_variance"),
+    "inference": tuple(_INFERENCE),
+}
+
+
+def _known_keys(raw: dict, known, prefix: str = "") -> None:
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", f"unknown key; use {', '.join(known)}")
+
+
 def _section(raw: dict, key: str, default):
-    """The JSON object under ``key`` (``default`` when absent)."""
+    """The JSON object under ``key`` (``default`` when absent), holding
+    only the section's known keys."""
     value = raw.get(key, default)
-    if value is not default and not isinstance(value, dict):
-        raise ConfigError(key, f"expected an object, got {value!r}")
+    if value is not default:
+        if not isinstance(value, dict):
+            raise ConfigError(key, f"expected an object, got {value!r}")
+        _known_keys(value, _SECTIONS[key], f"{key}.")
     return value
 
 
@@ -117,6 +138,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("<document>", f"expected an object, got {raw!r}")
+        _known_keys(raw, (*_SECTIONS, "models", "structures", "seed"))
         g = _section(raw, "grid", None)
         if g is None:
             raise ConfigError("grid", "missing aggregation window")

@@ -293,11 +293,7 @@ def default_simulation_eta(model: LatentModel) -> HyperParameters:
     sds = {"age": 0.4, "period": 0.1, "cohort": 0.05, "baseline": 0.12}
     taus = {b: 1.0 / sds[b] ** 2 for b in model.prior_model.tau_blocks}
     rhos = {b: 0.5 for b in model.prior_model.rho_blocks}
-    nu0 = (
-        model.prior_config.baseline_mean.mean.copy()
-        if model.prior_model.nu0_active
-        else None
-    )
+    nu0 = model.prior_model.baseline_mean.mean.copy() if model.prior_model.nu0_active else None
     return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
 
 

@@ -199,10 +199,10 @@ class PoissonLikelihood:
         self.observed = flatten_cells(data.observed).astype(bool)
         y_obs = self.y[self.observed]
         n_obs = self.exposure[self.observed]
-        self.constant = float(np.sum(y_obs * np.log(n_obs) - gammaln(y_obs + 1.0)))
         # per-observed-cell constants, for pointwise scoring
         # (``selection.pointwise_loglik``)
         self.cell_constants = y_obs * np.log(n_obs) - gammaln(y_obs + 1.0)
+        self.constant = float(np.sum(self.cell_constants))
 
     def value_grad_weights(self, mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         if not np.all(np.isfinite(mu)):
@@ -342,7 +342,6 @@ class LatentModel:
     structure: CrossStrataStructure
     baseline_spec: BaselineSpec
     parts: DesignParts
-    prior_config: PriorConfig
     prior_model: PriorModel
     blocks: dict[str, tuple[int, int, bool]]  # name -> (offset, per-stratum length, shared)
     col_index: np.ndarray                     # (R, n_canonical) int
@@ -434,7 +433,7 @@ class LatentModel:
             copies = 1 if shared else self.n_strata
             sl = slice(offset, offset + length * copies)
             if shared and name == "baseline":
-                prior = self.prior_config.baseline_mean
+                prior = self.prior_model.baseline_mean
                 out.append((sl, 1.0 / prior.variances, None, prior.mean.copy()))
                 continue
             if shared or name != "baseline":
@@ -471,86 +470,6 @@ class LatentModel:
         return xi
 
     # ------------------------------------------------------------------
-    # hyperparameter layout and transforms
-
-    @property
-    def eta_layout(self) -> tuple[tuple[str, str], ...]:
-        layout: list[tuple[str, str]] = []
-        for block in self.prior_model.tau_blocks:
-            layout.append(("tau", block))
-        for block in self.prior_model.rho_blocks:
-            layout.append(("rho", block))
-        if self.prior_model.nu0_active:
-            for i in range(3):
-                layout.append(("nu0", str(i)))
-        return tuple(layout)
-
-    def default_eta(self) -> HyperParameters:
-        taus = {b: 1.0 / self.prior_config.rate(b) for b in self.prior_model.tau_blocks}
-        rhos = {}
-        for b in self.prior_model.rho_blocks:
-            rhos[b] = 0.0 if self.structure.kind == "exchangeable" else 0.5
-        nu0 = self.prior_config.baseline_mean.mean.copy() if self.prior_model.nu0_active else None
-        return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
-
-    def eta_to_vector(self, eta: HyperParameters) -> np.ndarray:
-        from .priors import zeta_from_rho
-
-        vec = []
-        for kind, block in self.eta_layout:
-            if kind == "tau":
-                vec.append(np.log(eta.taus[block]))
-            elif kind == "rho":
-                rho = eta.rhos[block]
-                if self.structure.kind == "exchangeable":
-                    vec.append(zeta_from_rho(rho, self.n_strata))
-                else:
-                    vec.append(np.log(rho / (1.0 - rho)))
-            else:
-                assert eta.nu0 is not None
-                vec.append(float(eta.nu0[int(block)]))
-        return np.asarray(vec)
-
-    def eta_from_vector(self, vec: np.ndarray) -> HyperParameters:
-        from .priors import rho_from_zeta
-
-        vec = np.asarray(vec, dtype=float)
-        taus: dict[str, float] = {}
-        rhos: dict[str, float] = {}
-        nu0 = np.zeros(3) if self.prior_model.nu0_active else None
-        for x, (kind, block) in zip(vec, self.eta_layout):
-            if kind == "tau":
-                taus[block] = float(np.exp(np.clip(x, -46.0, 46.0)))
-            elif kind == "rho":
-                x = float(np.clip(x, -30.0, 30.0))
-                if self.structure.kind == "exchangeable":
-                    rhos[block] = rho_from_zeta(x, self.n_strata)
-                else:
-                    rhos[block] = 1.0 / (1.0 + np.exp(-x))
-            else:
-                assert nu0 is not None
-                nu0[int(block)] = float(x)
-        return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
-
-    def transform_log_jacobian(self, vec: np.ndarray) -> float:
-        """log |d eta / d vec| of the transform used by eta_from_vector."""
-        from .priors import dzeta_drho, rho_from_zeta
-
-        total = 0.0
-        for x, (kind, block) in zip(np.asarray(vec, dtype=float), self.eta_layout):
-            if kind == "tau":
-                total += float(np.clip(x, -46.0, 46.0))
-            elif kind == "rho":
-                x = float(np.clip(x, -30.0, 30.0))
-                if self.structure.kind == "exchangeable":
-                    rho = rho_from_zeta(x, self.n_strata)
-                    total += -np.log(dzeta_drho(rho, self.n_strata))
-                else:
-                    rho = 1.0 / (1.0 + np.exp(-x))
-                    total += np.log(rho) + np.log1p(-rho)
-        return float(total)
-
-    # ------------------------------------------------------------------
 
     def default_init(self, likelihood) -> np.ndarray:
         """Zero start, with baseline coordinates seeded from the crude rate
@@ -561,7 +480,7 @@ class LatentModel:
         offset, length, shared = self.blocks["baseline"]
         cells = self.grid.n_cells
         b_rows = self.parts.baseline_rows
-        prior_mean = self.prior_config.baseline_mean.mean
+        prior_mean = self.prior_model.baseline_mean.mean
         poisson = isinstance(likelihood, PoissonLikelihood)
 
         def crude(strata: Sequence[int]) -> np.ndarray:
@@ -674,7 +593,6 @@ def assemble_model(
         structure=structure,
         baseline_spec=baseline_spec,
         parts=parts,
-        prior_config=prior_config,
         prior_model=prior_model,
         blocks=blocks,
         col_index=col_index,
@@ -869,7 +787,6 @@ class ModeResult:
     operator: StructuredHessian  # the Hessian at the mode
     objective: float             # loglik + latent log prior at the mode
     n_iter: int
-    converged: bool
 
     @property
     def logdet_hessian(self) -> float:
@@ -926,46 +843,29 @@ def conditional_mode(
     if not np.isfinite(obj):
         raise ModeError("objective not finite at the initial point", last=xi)
 
-    converged = False
-    n_iter = 0
     for n_iter in range(1, max_iter + 1):
         grad = model.design_transpose_apply(grad_mu) + prior.grad(xi)
         if np.max(np.abs(grad)) < tol:
-            converged = True
             break
         delta = hessian(w, "").solve(grad)
         step = 1.0
-        accepted = False
         for _ in range(max_halvings + 1):
             cand = xi + step * delta
             cand_obj, cand_grad_mu, cand_w = evaluate(cand)
             if np.isfinite(cand_obj) and cand_obj >= obj - 1e-12 * (1.0 + abs(obj)):
-                rel_change = abs(cand_obj - obj) / (1.0 + abs(obj))
-                xi, grad_mu, w = cand, cand_grad_mu, cand_w
-                obj = cand_obj
-                accepted = True
-                if rel_change < 1e-12:
-                    converged = True
                 break
             step *= 0.5
-        if not accepted:
-            raise ModeError(
-                f"step halving failed after {max_halvings} halvings", last=xi
-            )
-        if converged:
+        else:
+            raise ModeError(f"step halving failed after {max_halvings} halvings", last=xi)
+        rel_change = abs(cand_obj - obj) / (1.0 + abs(obj))
+        xi, obj, grad_mu, w = cand, cand_obj, cand_grad_mu, cand_w
+        if rel_change < 1e-12:
             break
-    if not converged:
+    else:
         raise ModeError(f"no convergence in {max_iter} Newton iterations", last=xi)
 
-    # refresh curvature at the accepted mode
-    ll, grad_mu, w = likelihood.value_grad_weights(model.logrates_flat(xi))
-    return ModeResult(
-        xi=xi,
-        operator=hessian(w, " at the mode"),
-        objective=ll + prior.logpdf(xi),
-        n_iter=n_iter,
-        converged=True,
-    )
+    # obj and w were evaluated at the accepted xi
+    return ModeResult(xi=xi, operator=hessian(w, " at the mode"), objective=obj, n_iter=n_iter)
 
 
 def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
@@ -1039,7 +939,7 @@ def _laplace_at(
     where ``x`` maps to no valid eta or the mode or its factorization
     fails."""
     try:
-        return _laplace_with_mode(model, model.eta_from_vector(x), data, init=init)
+        return _laplace_with_mode(model, model.prior_model.from_vector(x), data, init=init)
     except (ModeError, ValueError, sla.LinAlgError):
         return None
 
@@ -1078,7 +978,8 @@ def optimize_hyperparameters(
     search.  Deterministic given the initial point; exhausting the budget
     returns the best point with a warning flag."""
     likelihood = as_likelihood(data)
-    x0 = model.eta_to_vector(init if init is not None else model.default_eta())
+    space = model.prior_model
+    x0 = space.to_vector(init if init is not None else space.default())
     state: dict = {"best": None, "best_val": -np.inf, "warm": None, "n": 0}
     big = 1e30
 
@@ -1119,7 +1020,7 @@ def optimize_hyperparameters(
         )
     best_x, best_mode = state["best"]
     return OptimizationResult(
-        eta_hat=model.eta_from_vector(best_x),
+        eta_hat=space.from_vector(best_x),
         objective=float(state["best_val"]),
         n_evaluations=int(state["n"]),
         converged=converged,
@@ -1199,7 +1100,7 @@ def sample_posterior(
     if not eta_grid:
         samples = _gaussian_draws(mode, n, rng)
     else:
-        x_hat = model.eta_to_vector(eta_hat)
+        x_hat = model.prior_model.to_vector(eta_hat)
         points = [(x_hat, float(log_marginal), mode)]
         for i in range(x_hat.shape[0]):
             for sgn in (-1.0, 1.0):
@@ -1217,7 +1118,7 @@ def sample_posterior(
         ]
         samples = np.concatenate(chunks, axis=0)
         grid_info = tuple(
-            (model.eta_from_vector(p[0]), float(w)) for p, w in zip(points, weights)
+            (model.prior_model.from_vector(p[0]), float(w)) for p, w in zip(points, weights)
         )
 
     return PosteriorFit(

@@ -96,8 +96,9 @@ def mcmc_oracle(
         logger.warning("mcmc_oracle on free_dim=%d; this is a small-instance oracle", model.free_dim)
 
     rng = np.random.default_rng(seed)
-    eta = init_eta if init_eta is not None else model.default_eta()
-    t_vec = model.eta_to_vector(eta)
+    space = model.prior_model
+    eta = init_eta if init_eta is not None else space.default()
+    t_vec = space.to_vector(eta)
     n_hyper = t_vec.shape[0]
 
     def loglik(x: np.ndarray) -> float:
@@ -105,7 +106,7 @@ def mcmc_oracle(
         return ll
 
     def hyper_logdensity(t: np.ndarray, eta_obj: HyperParameters) -> float:
-        return model.prior_model.logpdf(eta_obj) + model.transform_log_jacobian(t)
+        return space.logpdf(eta_obj) + space.log_jacobian(t)
 
     def conditional_gaussian(eta_obj: HyperParameters, start: np.ndarray):
         """Mode and Hessian factor at the current hyperparameters; a
@@ -163,7 +164,7 @@ def mcmc_oracle(
         if not fix_eta:
             t_cand = t_vec + s_hyp * rng.standard_normal(n_hyper)
             try:
-                eta_cand = model.eta_from_vector(t_cand)
+                eta_cand = space.from_vector(t_cand)
                 prior_cand = model.latent_prior(eta_cand)
                 lp_cand = prior_cand.logpdf(xi)
                 hyper_cand = hyper_logdensity(t_cand, eta_cand)
@@ -185,7 +186,7 @@ def mcmc_oracle(
 
         if it >= burn_in and (it - burn_in) % thin == 0:
             kept_xi.append(xi.copy())
-            kept_eta.append(_eta_natural(model, eta))
+            kept_eta.append(space.natural(eta))
 
     xi_samples = np.asarray(kept_xi)
     eta_samples = np.asarray(kept_eta)
@@ -201,22 +202,10 @@ def mcmc_oracle(
     return McmcResult(
         xi_samples=xi_samples,
         eta_samples=eta_samples,
-        hyper_names=tuple(f"{kind}:{block}" for kind, block in model.eta_layout),
+        hyper_names=tuple(f"{kind}:{block}" for kind, block in space.layout),
         accept_latent=float(rate_lat),
         accept_hyper=float(rate_hyp),
         ess=ess,
         mixing_ok=bool(ess.min() >= ess_threshold) if ess.size else True,
     )
 
-
-def _eta_natural(model: LatentModel, eta: HyperParameters) -> np.ndarray:
-    out = []
-    for kind, block in model.eta_layout:
-        if kind == "tau":
-            out.append(eta.taus[block])
-        elif kind == "rho":
-            out.append(eta.rhos[block])
-        else:
-            assert eta.nu0 is not None
-            out.append(float(eta.nu0[int(block)]))
-    return np.asarray(out)

@@ -244,9 +244,19 @@ class HyperParameters:
             object.__setattr__(self, "nu0", np.asarray(self.nu0, dtype=float))
 
 
+# bounds of the transformed scale, by coordinate kind: exp(46) keeps a
+# precision well inside the float range, and at |x| = 30 a correlation is
+# within about R exp(-30) of its end; beyond them the objective is flat
+_BOUNDS = {"tau": 46.0, "rho": 30.0}
+
+
 @dataclass(frozen=True)
 class PriorModel:
-    """Joint hyperprior for the active components of one latent model."""
+    """Joint hyperprior for the active components of one latent model, and
+    its hyperparameter space: the search, the ``eta_grid`` mixture and the
+    sampling oracle walk on a vector laid out as ``layout`` (log precisions,
+    one x per correlation, raw baseline means), x the exchangeable zeta or
+    the bym2 logit, clipped to ``_BOUNDS`` on the way back."""
 
     n_strata: int
     structure_kind: str
@@ -268,16 +278,14 @@ class PriorModel:
             total += np.log(rate) - rate * tau
         for block in self.rho_blocks:
             rho = eta.rhos[block]
-            if self.structure_kind == "exchangeable":
-                zeta = zeta_from_rho(rho, self.n_strata)
-                var = self.exchangeable_variance
-                total += -0.5 * (np.log(2.0 * np.pi * var) + zeta**2 / var)
-                total += np.log(dzeta_drho(rho, self.n_strata))
-            elif self.structure_kind == "bym2":
+            if self.structure_kind == "bym2":
                 assert self.pc_prior is not None
                 total += self.pc_prior.logpdf(rho)
-            else:
-                raise ValueError("independent structure has no correlation prior")
+            else:  # Gaussian on zeta, times |d zeta / d rho|
+                zeta = self._x_from_rho(rho)
+                var = self.exchangeable_variance
+                total += -0.5 * (np.log(2.0 * np.pi * var) + zeta**2 / var)
+                total -= self._log_drho_dx(rho)
         if self.nu0_active:
             if eta.nu0 is None:
                 raise ValueError("nu0 is active but missing from eta")
@@ -288,14 +296,92 @@ class PriorModel:
         taus = {b: float(rng.exponential(scale=1.0 / self.rates[b])) for b in self.tau_blocks}
         rhos: dict[str, float] = {}
         for block in self.rho_blocks:
-            if self.structure_kind == "exchangeable":
-                zeta = float(rng.normal(0.0, np.sqrt(self.exchangeable_variance)))
-                rhos[block] = rho_from_zeta(zeta, self.n_strata)
-            else:
+            if self.structure_kind == "bym2":
                 assert self.pc_prior is not None
                 rhos[block] = self.pc_prior.sample(rng)
+            else:
+                zeta = float(rng.normal(0.0, np.sqrt(self.exchangeable_variance)))
+                rhos[block] = self._rho_from_x(zeta)
         nu0 = self.baseline_mean.sample(rng) if self.nu0_active else None
         return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
+
+    # ------------------------------------------------------------------
+    # the transformed scale: the correlation map per structure, then the
+    # vector laid out as ``layout``
+
+    def _x_from_rho(self, rho: float) -> float:
+        if self.structure_kind == "bym2":
+            return np.log(rho / (1.0 - rho))
+        return zeta_from_rho(rho, self.n_strata)
+
+    def _rho_from_x(self, x: float) -> float:
+        if self.structure_kind == "bym2":
+            return 1.0 / (1.0 + np.exp(-x))
+        return rho_from_zeta(x, self.n_strata)
+
+    def _log_drho_dx(self, rho: float) -> float:
+        if self.structure_kind == "bym2":
+            return np.log(rho) + np.log1p(-rho)
+        return -np.log(dzeta_drho(rho, self.n_strata))
+
+    @property
+    def layout(self) -> tuple[tuple[str, str], ...]:
+        """(kind, block) of each transformed coordinate: kind "tau", "rho"
+        or "nu0" (block "0", "1", "2")."""
+        return (
+            tuple(("tau", b) for b in self.tau_blocks)
+            + tuple(("rho", b) for b in self.rho_blocks)
+            + (tuple(("nu0", str(i)) for i in range(3)) if self.nu0_active else ())
+        )
+
+    def default(self) -> HyperParameters:
+        """The search's start: precisions at their prior means, every
+        correlation at x = 0 (independence under exchangeable, an even mix
+        under bym2), the baseline at its prior mean."""
+        return HyperParameters(
+            taus={b: 1.0 / self.rates[b] for b in self.tau_blocks},
+            rhos={b: self._rho_from_x(0.0) for b in self.rho_blocks},
+            nu0=self.baseline_mean.mean.copy() if self.nu0_active else None,
+        )
+
+    def natural(self, eta: HyperParameters) -> np.ndarray:
+        """``eta`` as a vector on the natural scale, laid out as ``layout``."""
+        return np.asarray([
+            *(eta.taus[b] for b in self.tau_blocks),
+            *(eta.rhos[b] for b in self.rho_blocks),
+            *(map(float, eta.nu0) if self.nu0_active else ()),
+        ])
+
+    def to_vector(self, eta: HyperParameters) -> np.ndarray:
+        """``eta`` on the transformed scale."""
+        transform = {"tau": np.log, "rho": self._x_from_rho, "nu0": float}
+        return np.asarray([transform[kind](v) for v, (kind, _) in zip(self.natural(eta), self.layout)])
+
+    def _clipped(self, vec: np.ndarray) -> tuple[list[float], int, int]:
+        """The transformed coordinates, each inside its kind's bound, and
+        where the correlations start and end."""
+        bounds = [_BOUNDS.get(kind, np.inf) for kind, _ in self.layout]
+        x = [float(np.clip(v, -b, b)) for v, b in zip(np.asarray(vec, dtype=float), bounds)]
+        t = len(self.tau_blocks)
+        return x, t, t + len(self.rho_blocks)
+
+    def from_vector(self, vec: np.ndarray) -> HyperParameters:
+        """The hyperparameters at a transformed vector."""
+        x, t, r = self._clipped(vec)
+        return HyperParameters(
+            taus={b: float(np.exp(v)) for b, v in zip(self.tau_blocks, x[:t])},
+            rhos={b: self._rho_from_x(v) for b, v in zip(self.rho_blocks, x[t:r])},
+            nu0=np.array(x[r:]) if self.nu0_active else None,
+        )
+
+    def log_jacobian(self, vec: np.ndarray) -> float:
+        """log |det d eta / d vec| of ``from_vector`` (the baseline means
+        are untransformed)."""
+        x, t, r = self._clipped(vec)
+        total = 0.0  # summed in layout order, term by term
+        for term in x[:t] + [self._log_drho_dx(self._rho_from_x(v)) for v in x[t:r]]:
+            total += term
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

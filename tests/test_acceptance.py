@@ -276,7 +276,7 @@ def test_criterion_5_inference():
 
     # (b) Gaussian-conjugate instance: Laplace is exact
     model_g = assemble_model(grid, 2, "M5", "independent")
-    eta_g = model_g.default_eta()
+    eta_g = model_g.prior_model.default()
     prior_g = model_g.latent_prior(eta_g)
     sigma2 = 0.3
     z = rng.normal(size=model_g.n_cells)

@@ -403,3 +403,39 @@ class TestUsage:
         assert not out.exists()
         err = capsys.readouterr().err
         assert any("error:" in line and field in line for line in err.splitlines()), err
+
+    IO = ["--config", "{cfg}", "--data", "{data}"]
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (["simulate", "--n-age", "2"], "--n-age"),
+            (["simulate", "--n-period", "2"], "--n-period"),
+            (["simulate", "--n-strata", "0"], "--n-strata"),
+            (["simulate", "--exposure", "-1"], "--exposure"),
+            (["simulate", "--exposure", "nan"], "--exposure"),
+            (["simulate", "--missing", "1.5"], "--missing"),
+            (["simulate", "--structure", "exchangeable", "--n-strata", "1"], "2 strata"),
+            (["simulate", "--structure", "exchangeable", "--pattern", "M1"], "M1"),
+            (["prior-check", *IO, "--sims", "-1"], "--sims"),
+            (["grid", *IO, "--workers", "-3"], "--workers"),
+        ],
+        ids=[
+            "n-age=2", "n-period=2", "n-strata=0", "exposure=-1", "exposure=nan",
+            "missing=1.5", "exchangeable-one-stratum", "exchangeable-M1", "sims=-1",
+            "workers=-3",
+        ],
+    )
+    def test_bad_argument_is_usage_error(
+        self, sim_dir, tmp_path, monkeypatch, capsys, command, field
+    ):
+        calls = record_calls(monkeypatch)
+        cfg = fast_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        argv = [a.format(cfg=cfg, data=sim_dir / "data.csv") for a in command]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert calls == []
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any("error:" in line and field in line for line in err.splitlines()), err

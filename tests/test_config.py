@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ README_CONFIG = {
     "seed": 20240801,
 }
 GRID_ONLY = {"grid": README_CONFIG["grid"]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def config_hash(raw: dict) -> str:
@@ -71,6 +74,14 @@ class TestDefaults:
         )
         assert RunConfig.from_dict(raw).fit.prior_config == expected
 
+    def test_readme_block_matches_copy(self):
+        """README_CONFIG is a copy of the README's example; a key renamed
+        or misspelt there fails here rather than running on defaults."""
+        text = README.read_text()
+        block = re.search(r"\*\*Config JSON\*\*.*?```json\n(.*?)```", text, re.DOTALL)
+        assert block is not None
+        assert json.loads(block.group(1)) == README_CONFIG
+
     def test_readme_config_fields(self):
         fit = RunConfig.from_dict(README_CONFIG).fit
         assert fit.baseline_spec == BaselineSpec(
@@ -105,6 +116,14 @@ class TestRanges:
             ({"grid": {**GRID_ONLY["grid"], "age_end": 81}}, "grid"),
             ({"grid": {**GRID_ONLY["grid"], "bin_width": 0}}, "grid"),
             ({"baseline": {"triple": [[9, 9], [10, 9.5], [9, 10]]}}, "baseline"),
+            ({"inference": {"n_sample": 100}}, "inference.n_sample"),
+            ({"inference": {"budgt": 20}}, "inference.budgt"),
+            ({"priors": {"epsilon_ages": 0.2}}, "priors.epsilon_ages"),
+            ({"baseline": {**README_CONFIG["baseline"], "fomr": "three-points"}}, "baseline.fomr"),
+            ({"grid": {**GRID_ONLY["grid"], "bin_widht": 5}}, "grid.bin_widht"),
+            ({"prior": {"q": 0.1}}, "prior"),
+            ({"structure": ["independent"]}, "structure"),
+            ({"sead": 3}, "sead"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )

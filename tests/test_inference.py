@@ -226,9 +226,9 @@ def prior_model(n_strata, pattern, kind, grid=None):
 
 def off_default_eta(model):
     """Hyperparameters away from the defaults, so every rho is nonzero."""
-    x = model.eta_to_vector(model.default_eta())
+    x = model.prior_model.to_vector(model.prior_model.default())
     x = x + np.random.default_rng(3).normal(scale=0.7, size=x.shape)
-    return model.eta_from_vector(x)
+    return model.prior_model.from_vector(x)
 
 
 def cross_strata_cov(model, rho):
@@ -252,7 +252,7 @@ class TestLatentPrior:
         for name in BLOCKS:
             _, length, shared = model.blocks[name]
             if shared and name == "baseline":
-                baseline = model.prior_config.baseline_mean
+                baseline = model.prior_model.baseline_mean
                 blocks.append(np.diag(1.0 / baseline.variances))
                 means.append(baseline.mean)
             elif shared:
@@ -306,7 +306,7 @@ class TestConditionalMode:
             np.zeros((2, 5, 5)), np.zeros((2, 5, 5)), observed=observed
         )
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         mode = conditional_mode(model, eta, ds)
         prior = model.latent_prior(eta)
         assert np.allclose(mode.xi, prior.mean, atol=1e-8)
@@ -371,7 +371,7 @@ class TestConditionalMode:
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
         with pytest.raises(ModeError) as err:
-            conditional_mode(model, model.default_eta(), ds, max_iter=1)
+            conditional_mode(model, model.prior_model.default(), ds, max_iter=1)
         assert err.value.last is not None
 
 
@@ -381,7 +381,7 @@ class TestLaplace:
         # exact marginal; compare against the closed form
         grid = GridSpec(4, 4)
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         prior = model.latent_prior(eta)
         sigma2 = 0.3
         z_cube = rng.normal(size=(2, 4, 4))
@@ -435,13 +435,13 @@ class TestOptimize:
         # loosely determined, but should land in the right neighborhood
         err = abs(np.log(opt.eta_hat.taus["cohort"]) - np.log(eta_true.taus["cohort"]))
         assert err < 1.5
-        assert opt.objective >= laplace_log_marginal(model, model.default_eta(), ds)
+        assert opt.objective >= laplace_log_marginal(model, model.prior_model.default(), ds)
 
     def test_objective_at_least_init(self, rng):
         grid = GridSpec(5, 5)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
-        init = model.default_eta()
+        init = model.prior_model.default()
         opt = optimize_hyperparameters(model, ds, init=init, budget=300)
         assert opt.objective >= laplace_log_marginal(model, init, ds) - 1e-9
 
@@ -472,7 +472,7 @@ class TestSamplePosterior:
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2, exposure=1e4)
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         mode = conditional_mode(model, eta, ds)
         fit = sample_posterior(model, eta, ds, n=10000, seed=9, mode=mode)
         cov = np.linalg.inv(mode.hessian)
@@ -495,7 +495,7 @@ class TestSamplePosterior:
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         fit = sample_posterior(model, eta, ds, n=60, seed=11)
         again = sample_posterior(model, eta, ds, n=60, seed=11)
         # what a fit used to store: the linear map of its seeded draws
@@ -511,7 +511,7 @@ class TestSamplePosterior:
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
-        fit = sample_posterior(model, model.default_eta(), ds, n=60, seed=11)
+        fit = sample_posterior(model, model.prior_model.default(), ds, n=60, seed=11)
         lograte_shape = (fit.n_samples, model.n_cells)
         assert fit.lograte_samples.shape == lograte_shape
         for field in dataclasses.fields(fit):
@@ -522,7 +522,7 @@ class TestSamplePosterior:
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         a = sample_posterior(model, eta, ds, n=100, seed=42)
         b = sample_posterior(model, eta, ds, n=100, seed=42)
         assert np.array_equal(a.samples, b.samples)
@@ -543,7 +543,7 @@ class TestSamplePosterior:
 
 def _optimize_summary(model, eta, data):
     opt = optimize_hyperparameters(model, data, init=eta, budget=12)
-    return np.append(model.eta_to_vector(opt.eta_hat), [opt.objective, opt.n_evaluations])
+    return np.append(model.prior_model.to_vector(opt.eta_hat), [opt.objective, opt.n_evaluations])
 
 
 # each entry point called with ``data`` as its one data argument
@@ -570,7 +570,7 @@ class TestDataArgument:
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "exchangeable")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         call = DATA_ENTRY_POINTS[entry]
         assert np.array_equal(call(model, eta, ds), call(model, eta, PoissonLikelihood(ds)))
 
@@ -579,4 +579,4 @@ class TestDataArgument:
     def test_other_data_is_a_type_error(self, entry, bad):
         model = assemble_model(GridSpec(4, 4), 2, "M5", "independent")
         with pytest.raises(TypeError, match="data must be a MortalityDataset"):
-            DATA_ENTRY_POINTS[entry](model, model.default_eta(), bad)
+            DATA_ENTRY_POINTS[entry](model, model.prior_model.default(), bad)

@@ -61,7 +61,7 @@ class TestPaths:
         model = assemble_model(ds.grid, ds.n_strata, "M6", "independent")
         samples = rng.normal(0.0, 0.1, size=(30, model.free_dim))
         samples[:, model.col_index[:, 0]] += np.log(0.02)  # each stratum's intercept
-        fit = PosteriorFit(model, model.default_eta(), samples[0], samples, 0.0, 0)
+        fit = PosteriorFit(model, model.prior_model.default(), samples[0], samples, 0.0, 0)
         ll = pointwise_loglik(fit, ds)
         logrates = fit.lograte_samples
         expected = poisson.logpmf(y[None, :], exposure[None, :] * np.exp(logrates[:, obs]))
@@ -233,7 +233,7 @@ class TestEnvFlag:
             "grid = GridSpec(6, 6)\n"
             "ds, _ = simulate_dataset(grid, 3, pattern='M4', structure='exchangeable', seed=5)\n"
             "model = assemble_model(grid, 3, 'M4', 'exchangeable')\n"
-            "eta = model.default_eta()\n"
+            "eta = model.prior_model.default()\n"
             "mode = conditional_mode(model, eta, ds)\n"
             "print(json.dumps({'xi': mode.xi.tolist(), "
             "'laplace': laplace_log_marginal(model, eta, ds)}))\n"

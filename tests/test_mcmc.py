@@ -34,7 +34,7 @@ class TestGaussianConjugate:
     def test_posterior_matches_closed_form(self, rng):
         grid = GridSpec(4, 4)
         model = assemble_model(grid, 2, "M5", "independent")
-        eta = model.default_eta()
+        eta = model.prior_model.default()
         prior = model.latent_prior(eta)
         sigma2 = 0.25
         z = rng.normal(size=model.n_cells)

@@ -3,9 +3,15 @@ import pytest
 from scipy import integrate
 from scipy import stats as sstats
 
-from stratapc.covariance import AdjacencyGraph, icar_precision, scaled_generalized_inverse
+from stratapc.covariance import (
+    STRUCTURES,
+    AdjacencyGraph,
+    CrossStrataStructure,
+    icar_precision,
+    scaled_generalized_inverse,
+)
 from stratapc.core import GridSpec
-from stratapc.inference import assemble_model
+from stratapc.inference import assemble_model, pattern_names
 from stratapc.priors import (
     BaselineMeanPrior,
     HyperParameters,
@@ -235,6 +241,77 @@ class TestHyperpriorLogpdf:
         pm = model.prior_model
         with pytest.raises(ValueError):
             pm.logpdf(HyperParameters(taus={b: -1.0 for b in pm.tau_blocks}))
+
+
+def codec_model(n_strata, pattern, kind):
+    graph = None
+    if kind == "bym2":  # a ring over the strata
+        graph = AdjacencyGraph.from_edges(
+            n_strata, [(i, (i + 1) % n_strata) for i in range(n_strata)]
+        )
+    return assemble_model(
+        GridSpec(4, 4), n_strata, pattern, CrossStrataStructure(kind=kind, graph=graph)
+    )
+
+
+CANDIDATES = [
+    (n_strata, pattern, kind)
+    for n_strata in (3, 5)
+    for pattern in pattern_names()
+    for kind in STRUCTURES
+    if pattern != "M1" or kind == "independent"
+]
+
+
+class TestCodec:
+    """``PriorModel``'s map between hyperparameters and the transformed
+    vector the search, the ``eta_grid`` mixture and the oracle walk on."""
+
+    @pytest.mark.parametrize("n_strata, pattern, kind", CANDIDATES)
+    def test_round_trip(self, n_strata, pattern, kind):
+        space = codec_model(n_strata, pattern, kind).prior_model
+        rng = np.random.default_rng(n_strata)
+        for eta in [space.default()] + [space.sample(rng) for _ in range(5)]:
+            x = space.to_vector(eta)
+            assert x.shape == (len(space.layout),)
+            back = space.from_vector(x)
+            assert (back.taus.keys(), back.rhos.keys()) == (eta.taus.keys(), eta.rhos.keys())
+            assert (back.nu0 is None) == (eta.nu0 is None)
+            np.testing.assert_allclose(
+                space.natural(back), space.natural(eta), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("kind", ["exchangeable", "bym2"])
+    def test_default_is_zero_correlation_coordinate(self, kind):
+        space = codec_model(4, "M6", kind).prior_model
+        x = space.to_vector(space.default())
+        rho_x = [v for v, (k, _) in zip(x, space.layout) if k == "rho"]
+        assert rho_x == [0.0] * 4
+
+    # step and tolerance: near the clip a correlation sits within about
+    # 1e-11 of its end, where its float spacing needs a wide step
+    @pytest.mark.parametrize(
+        "rho_x, step, tol",
+        [(-25.0, 1e-2, 2e-3), (-2.0, 1e-5, 1e-7), (0.0, 1e-5, 1e-7),
+         (0.7, 1e-5, 1e-7), (3.0, 1e-5, 1e-7), (25.0, 1e-2, 2e-3)],
+    )
+    @pytest.mark.parametrize("kind", ["exchangeable", "bym2"])
+    def test_log_jacobian_matches_central_differences(self, kind, rho_x, step, tol):
+        space = codec_model(4, "M6", kind).prior_model
+        x = space.to_vector(space.default())
+        kinds = [k for k, _ in space.layout]
+        x[[i for i, k in enumerate(kinds) if k == "tau"]] += np.linspace(-0.6, 0.6, 4)
+        x[[i for i, k in enumerate(kinds) if k == "rho"]] = rho_x + np.array([0.0, 0.1, -0.1, 0.2])
+        x[[i for i, k in enumerate(kinds) if k == "nu0"]] += 0.3
+        eye = np.eye(x.shape[0])
+        jac = np.column_stack([
+            space.natural(space.from_vector(x + step * e))
+            - space.natural(space.from_vector(x - step * e))
+            for e in eye
+        ]) / (2.0 * step)
+        sign, logdet = np.linalg.slogdet(jac)
+        assert sign != 0
+        assert space.log_jacobian(x) == pytest.approx(logdet, abs=tol)
 
 
 class TestPriorPredictive:

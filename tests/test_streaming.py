@@ -65,7 +65,7 @@ def draws_fit(model, n, seed=0, scale=0.05):
     samples[:, model.col_index[:, 0]] += -4.0  # the intercept column of every stratum
     return PosteriorFit(
         model=model,
-        eta_hat=model.default_eta(),
+        eta_hat=model.prior_model.default(),
         latent_mean=samples.mean(axis=0),
         samples=samples,
         log_marginal=0.0,
@@ -214,7 +214,7 @@ def test_rr_percentiles_match_numpy(dataset):
 
 def test_gaussian_draws_match_whole_formula(dataset):
     model = assemble_model(dataset.grid, dataset.n_strata, "M4", "exchangeable")
-    mode = conditional_mode(model, model.default_eta(), data=dataset)
+    mode = conditional_mode(model, model.prior_model.default(), data=dataset)
     draws = _gaussian_draws(mode, 40, np.random.default_rng(3))
     z = np.random.default_rng(3).standard_normal((model.free_dim, 40))
     delta = sla.solve_triangular(mode.chol, z, lower=True, trans="T")

@@ -90,13 +90,13 @@ def eta_at(model, rho_value):
     rho at the given transformed value, or at a tuple's values in block
     order."""
     values = itertools.cycle(rho_value if isinstance(rho_value, tuple) else (rho_value,))
-    x = model.eta_to_vector(model.default_eta())
-    for i, (kind, _) in enumerate(model.eta_layout):
+    x = model.prior_model.to_vector(model.prior_model.default())
+    for i, (kind, _) in enumerate(model.prior_model.layout):
         if kind == "tau":
             x[i] += 0.6 * ((i % 3) - 1)
         elif kind == "rho":
             x[i] = next(values)
-    return model.eta_from_vector(x)
+    return model.prior_model.from_vector(x)
 
 
 def dense_hessian(model, w, prior):
