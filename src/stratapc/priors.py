@@ -244,9 +244,9 @@ class HyperParameters:
             object.__setattr__(self, "nu0", np.asarray(self.nu0, dtype=float))
 
 
-# bounds of the transformed scale, by coordinate kind: exp(46) keeps a
-# precision well inside the float range, and at |x| = 30 a correlation is
-# within about R exp(-30) of its end; beyond them the objective is flat
+# bounds of the transformed scale, by coordinate kind; beyond them the
+# objective is flat: exp(+-46) is about 1e+-20 for a precision, and at
+# |x| = 30 a correlation is within about R exp(-30) of its end
 _BOUNDS = {"tau": 46.0, "rho": 30.0}
 
 
