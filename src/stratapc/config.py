@@ -29,12 +29,6 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-def _boolean(value) -> bool:
-    if value not in (True, False):  # bool("false") would be True
-        raise ValueError(f"expected true or false, got {value!r}")
-    return bool(value)
-
-
 def _integer(value) -> int:
     """A whole number, also when written as ``1000.0``; int() would take
     ``true`` as 1 and truncate 2.9 to 2."""
@@ -50,7 +44,6 @@ _INFERENCE = {
     "n_samples": (_integer, lambda v: v >= 2, "at least 2"),
     "budget": (_integer, lambda v: v >= 1, "at least 1"),
     "rel_tol": (float, lambda v: 0.0 < v < np.inf, "finite and above 0"),
-    "eta_grid": (_boolean, lambda v: True, ""),
 }
 
 

@@ -297,6 +297,9 @@ def default_simulation_eta(model: LatentModel) -> HyperParameters:
     return HyperParameters(taus=taus, rhos=rhos, nu0=nu0)
 
 
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10  # numpy's cap
+
+
 def simulate_dataset(
     grid: GridSpec,
     n_strata: int,
@@ -328,7 +331,12 @@ def simulate_dataset(
     mu = model.logrates_flat(xi)
     cube = mu.reshape(n_strata, grid.n_period, grid.n_age).transpose(0, 2, 1)
     exposures = np.full(cube.shape, float(exposure))
-    counts = rng.poisson(exposures * np.exp(cube)).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = exposures * np.exp(cube)
+        if not np.all(lam <= _POISSON_LAM_MAX):  # also catches inf and nan
+            raise ValueError(f"exposure {exposure:g} times the largest simulated rate "
+                             f"{np.exp(cube.max()):.3g} passes numpy's Poisson limit {_POISSON_LAM_MAX:.3g}")
+    counts = rng.poisson(lam).astype(float)
     observed = np.ones(cube.shape, dtype=bool)
     if missing_fraction > 0:
         observed = rng.uniform(size=cube.shape) >= missing_fraction

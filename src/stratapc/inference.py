@@ -60,6 +60,9 @@ logger = logging.getLogger(__name__)
 
 BLOCKS = ("baseline", "age", "period", "cohort")
 
+_MODE_TOL = 1e-8  # the Newton mode is found below this gradient max-norm
+_MAX_HALVINGS = 30  # step halvings per Newton line search
+
 _SHARING_TABLE: dict[str, frozenset[str]] = {
     "M1": frozenset({"baseline", "age", "period", "cohort"}),
     "M2": frozenset({"baseline", "age", "period"}),
@@ -811,15 +814,13 @@ def conditional_mode(
     eta: HyperParameters,
     data,
     init: np.ndarray | None = None,
-    tol: float = 1e-8,
     max_iter: int = 100,
-    max_halvings: int = 30,
 ) -> ModeResult:
     """Newton/IRLS maximization of loglik + latent log prior at fixed eta.
 
     ``data`` is a ``MortalityDataset`` or a likelihood already built from
     one (see ``as_likelihood``).  Converges when the gradient max-norm drops
-    below ``tol`` or the relative objective change drops below 1e-12;
+    below ``_MODE_TOL`` or the relative objective change drops below 1e-12;
     raises ModeError (with the last iterate attached) on non-convergence or
     a failed line search.
     """
@@ -845,18 +846,18 @@ def conditional_mode(
 
     for n_iter in range(1, max_iter + 1):
         grad = model.design_transpose_apply(grad_mu) + prior.grad(xi)
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < _MODE_TOL:
             break
         delta = hessian(w, "").solve(grad)
         step = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = xi + step * delta
             cand_obj, cand_grad_mu, cand_w = evaluate(cand)
             if np.isfinite(cand_obj) and cand_obj >= obj - 1e-12 * (1.0 + abs(obj)):
                 break
             step *= 0.5
         else:
-            raise ModeError(f"step halving failed after {max_halvings} halvings", last=xi)
+            raise ModeError(f"step halving failed after {_MAX_HALVINGS} halvings", last=xi)
         rel_change = abs(cand_obj - obj) / (1.0 + abs(obj))
         xi, obj, grad_mu, w = cand, cand_obj, cand_grad_mu, cand_w
         if rel_change < 1e-12:
@@ -868,7 +869,7 @@ def conditional_mode(
     return ModeResult(xi=xi, operator=hessian(w, " at the mode"), objective=obj, n_iter=n_iter)
 
 
-def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
+def _chol_with_jitter(h: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of ``h``, or of each matrix of a stacked
     (k, n, n) ``h``; a matrix that is not numerically positive definite gets
     its mean diagonal times 1e-12, 1e-9, 1e-6 added to the diagonal until it
@@ -880,7 +881,7 @@ def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
         for block in h:
             chol, info = sla.lapack.dpotrf(block, lower=1, clean=1)
             if info:
-                chol = _chol_with_jitter(block, attempts)
+                chol = _chol_with_jitter(block)
                 if chol is None:
                     return None
             factors.append(chol)
@@ -891,9 +892,9 @@ def _chol_with_jitter(h: np.ndarray, attempts: int = 4) -> np.ndarray | None:
         pass
     scale = float(np.mean(np.diag(h)))
     diag = np.diag_indices(h.shape[0])
-    for k in range(1, attempts):
+    for exponent in (-12, -9, -6):
         bumped = h.copy()
-        jitter = scale * 10.0 ** (-12 + 3 * (k - 1))
+        jitter = scale * 10.0**exponent
         bumped[diag] += jitter
         try:
             chol = sla.cholesky(bumped, lower=True, check_finite=False)
@@ -930,18 +931,6 @@ def _laplace_with_mode(
     """``laplace_log_marginal`` and the mode it was taken at."""
     mode = conditional_mode(model, eta, data, init=init)
     return _log_marginal(model, eta, mode), mode
-
-
-def _laplace_at(
-    model: LatentModel, x: np.ndarray, data, init: np.ndarray | None
-) -> tuple[float, ModeResult] | None:
-    """``_laplace_with_mode`` at transformed hyperparameters ``x``, or None
-    where ``x`` maps to no valid eta or the mode or its factorization
-    fails."""
-    try:
-        return _laplace_with_mode(model, model.prior_model.from_vector(x), data, init=init)
-    except (ModeError, ValueError, sla.LinAlgError):
-        return None
 
 
 def _log_marginal(model: LatentModel, eta: HyperParameters, mode: ModeResult) -> float:
@@ -985,10 +974,12 @@ def optimize_hyperparameters(
 
     def negobj(x: np.ndarray) -> float:
         state["n"] += 1
-        point = _laplace_at(model, x, likelihood, state["warm"])
-        if point is None or not np.isfinite(point[0]):
+        try:  # x may map to no valid eta, or the mode or its factorization fail
+            val, mode = _laplace_with_mode(model, space.from_vector(x), likelihood, state["warm"])
+        except (ModeError, ValueError, sla.LinAlgError):
             return big
-        val, mode = point
+        if not np.isfinite(val):
+            return big
         state["warm"] = mode.xi
         if val > state["best_val"]:
             state["best_val"] = val
@@ -1040,7 +1031,6 @@ class PosteriorFit:
     log_marginal: float
     seed: int
     converged: bool = True
-    eta_grid: tuple | None = None
 
     @property
     def n_samples(self) -> int:
@@ -1064,10 +1054,6 @@ class PosteriorFit:
         ).transpose(0, 1, 3, 2)
 
 
-# step of the ``eta_grid`` axial points, in transformed coordinates
-_ETA_GRID_DELTA = 0.5
-
-
 def sample_posterior(
     model: LatentModel,
     eta_hat: HyperParameters,
@@ -1075,60 +1061,24 @@ def sample_posterior(
     n: int = 1000,
     seed: int = 0,
     mode: ModeResult | None = None,
-    log_marginal: float | None = None,
-    eta_grid: bool = False,
 ) -> PosteriorFit:
     """Draw latent samples from the Gaussian approximation N(mode, H^-1) at
     the plugged-in hyperparameters; the fit maps them to log rates on read.
     ``data`` is a ``MortalityDataset`` or a likelihood (see
-    ``as_likelihood``); ``mode`` and ``log_marginal``, when given, are
-    taken as found at ``eta_hat``.
-
-    With ``eta_grid`` enabled, an axial grid of hyperparameter points
-    ``_ETA_GRID_DELTA`` either side of the optimum on each transformed axis
-    is weighted by the Laplace objective and the draw becomes a mixture over
-    those points.
+    ``as_likelihood``); ``mode``, when given, is taken as found at
+    ``eta_hat``.  The reported log marginal is the Laplace value at that
+    mode.
     """
     likelihood = as_likelihood(data)
     if mode is None:
         mode = conditional_mode(model, eta_hat, likelihood)
-    if log_marginal is None:
-        log_marginal = _log_marginal(model, eta_hat, mode)
-    rng = np.random.default_rng(seed)
-
-    grid_info = None
-    if not eta_grid:
-        samples = _gaussian_draws(mode, n, rng)
-    else:
-        x_hat = model.prior_model.to_vector(eta_hat)
-        points = [(x_hat, float(log_marginal), mode)]
-        for i in range(x_hat.shape[0]):
-            for sgn in (-1.0, 1.0):
-                x = x_hat.copy()
-                x[i] += sgn * _ETA_GRID_DELTA
-                point = _laplace_at(model, x, likelihood, mode.xi)
-                if point is not None:
-                    points.append((x, *point))
-        vals = np.array([p[1] for p in points])
-        weights = np.exp(vals - vals.max())
-        weights /= weights.sum()
-        counts = rng.multinomial(n, weights)
-        chunks = [
-            _gaussian_draws(p[2], int(c), rng) for p, c in zip(points, counts) if c > 0
-        ]
-        samples = np.concatenate(chunks, axis=0)
-        grid_info = tuple(
-            (model.prior_model.from_vector(p[0]), float(w)) for p, w in zip(points, weights)
-        )
-
     return PosteriorFit(
         model=model,
         eta_hat=eta_hat,
         latent_mean=mode.xi,
-        samples=samples,
-        log_marginal=float(log_marginal),
+        samples=_gaussian_draws(mode, n, np.random.default_rng(seed)),
+        log_marginal=_log_marginal(model, eta_hat, mode),
         seed=seed,
-        eta_grid=grid_info,
     )
 
 
@@ -1146,26 +1096,15 @@ def fit_model(
     data,
     n_samples: int = 1000,
     seed: int = 0,
-    init: HyperParameters | None = None,
     budget: int = 2000,
     rel_tol: float = 1e-6,
-    eta_grid: bool = False,
 ) -> PosteriorFit:
     """Optimize hyperparameters, then sample the posterior; the one-call
     entry point used by the model grid and the CLI.  ``data`` (a dataset
     or a likelihood, see ``as_likelihood``) is resolved once and passed
     down to both steps."""
     likelihood = as_likelihood(data)
-    opt = optimize_hyperparameters(model, likelihood, init=init, budget=budget, rel_tol=rel_tol)
-    fit = sample_posterior(
-        model,
-        opt.eta_hat,
-        likelihood,
-        n=n_samples,
-        seed=seed,
-        mode=opt.mode,
-        log_marginal=opt.objective,
-        eta_grid=eta_grid,
-    )
+    opt = optimize_hyperparameters(model, likelihood, budget=budget, rel_tol=rel_tol)
+    fit = sample_posterior(model, opt.eta_hat, likelihood, n=n_samples, seed=seed, mode=opt.mode)
     fit.converged = opt.converged
     return fit

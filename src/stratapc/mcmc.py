@@ -31,6 +31,8 @@ from .inference import (
 logger = logging.getLogger(__name__)
 
 _TARGET_ACCEPT = 0.234
+_INDEPENDENCE_FRACTION = 0.4  # share of latent updates proposed from the mode
+_ESS_THRESHOLD = 100.0  # smallest per-component effective sample size for mixing_ok
 
 
 @dataclass
@@ -80,8 +82,6 @@ def mcmc_oracle(
     thin: int = 5,
     init_eta: HyperParameters | None = None,
     fix_eta: bool = False,
-    independence_fraction: float = 0.4,
-    ess_threshold: float = 100.0,
 ) -> McmcResult:
     """Run the sampling oracle and return post-burn-in thinned draws.
 
@@ -140,7 +140,7 @@ def mcmc_oracle(
 
         # latent block: mixture of a preconditioned random walk and a
         # mode-centered independence proposal (Hastings-corrected)
-        use_independence = rng.uniform() < independence_fraction
+        use_independence = rng.uniform() < _INDEPENDENCE_FRACTION
         z = rng.standard_normal(model.free_dim)
         step = sla.solve_triangular(chol, z, lower=True, trans="T")
         if use_independence:
@@ -206,6 +206,6 @@ def mcmc_oracle(
         accept_latent=float(rate_lat),
         accept_hyper=float(rate_hyp),
         ess=ess,
-        mixing_ok=bool(ess.min() >= ess_threshold) if ess.size else True,
+        mixing_ok=bool(ess.min() >= _ESS_THRESHOLD) if ess.size else True,
     )
 

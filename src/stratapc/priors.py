@@ -253,10 +253,10 @@ _BOUNDS = {"tau": 46.0, "rho": 30.0}
 @dataclass(frozen=True)
 class PriorModel:
     """Joint hyperprior for the active components of one latent model, and
-    its hyperparameter space: the search, the ``eta_grid`` mixture and the
-    sampling oracle walk on a vector laid out as ``layout`` (log precisions,
-    one x per correlation, raw baseline means), x the exchangeable zeta or
-    the bym2 logit, clipped to ``_BOUNDS`` on the way back."""
+    its hyperparameter space: the search and the sampling oracle walk on a
+    vector laid out as ``layout`` (log precisions, one x per correlation,
+    raw baseline means), x the exchangeable zeta or the bym2 logit, clipped
+    to ``_BOUNDS`` on the way back."""
 
     n_strata: int
     structure_kind: str

@@ -182,7 +182,6 @@ class GridConfig:
     seed: int = 0
     budget: int = 2000
     rel_tol: float = 1e-6
-    eta_grid: bool = False
     workers: int = 1
 
 
@@ -237,7 +236,6 @@ def fit_candidate(
         seed=seed,
         budget=config.budget,
         rel_tol=config.rel_tol,
-        eta_grid=config.eta_grid,
     )
 
 

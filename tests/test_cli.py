@@ -220,7 +220,7 @@ class TestRR:
 
 
 class TestFitSettings:
-    SETTINGS = {"n_samples": 120, "budget": 30, "rel_tol": 1e-4, "eta_grid": True}
+    SETTINGS = {"n_samples": 120, "budget": 30, "rel_tol": 1e-4}
     MODEL = ["--pattern", "M4", "--structure", "independent"]
 
     @pytest.mark.parametrize(
@@ -414,6 +414,7 @@ class TestUsage:
             (["simulate", "--n-strata", "0"], "--n-strata"),
             (["simulate", "--exposure", "-1"], "--exposure"),
             (["simulate", "--exposure", "nan"], "--exposure"),
+            (["simulate", "--exposure", "1e300"], "exposure"),
             (["simulate", "--missing", "1.5"], "--missing"),
             (["simulate", "--structure", "exchangeable", "--n-strata", "1"], "2 strata"),
             (["simulate", "--structure", "exchangeable", "--pattern", "M1"], "M1"),
@@ -421,7 +422,7 @@ class TestUsage:
             (["grid", *IO, "--workers", "-3"], "--workers"),
         ],
         ids=[
-            "n-age=2", "n-period=2", "n-strata=0", "exposure=-1", "exposure=nan",
+            "n-age=2", "n-period=2", "n-strata=0", "exposure=-1", "exposure=nan", "exposure=1e300",
             "missing=1.5", "exchangeable-one-stratum", "exchangeable-M1", "sims=-1",
             "workers=-3",
         ],

@@ -26,8 +26,7 @@ README_CONFIG = {
                "exchangeable_variance": 5.0},
     "models": ["M1", "M2", "M3", "M4", "M5", "M6"],
     "structures": ["independent", "exchangeable", "bym2"],
-    "inference": {"n_samples": 1000, "budget": 2000, "rel_tol": 1e-6,
-                  "eta_grid": False},
+    "inference": {"n_samples": 1000, "budget": 2000, "rel_tol": 1e-6},
     "seed": 20240801,
 }
 GRID_ONLY = {"grid": README_CONFIG["grid"]}
@@ -43,8 +42,8 @@ class TestCanonicalHash:
     @pytest.mark.parametrize(
         "raw, expected",
         [
-            (README_CONFIG, "d941566874ec2dae996032215a3ac9e3451307456615be4ddffc0a11a247a340"),
-            (GRID_ONLY, "6146dbf20fbcf9aa2e35105b98d9873e8c35b4ca37e4db7f9321aa13e5845f21"),
+            (README_CONFIG, "e0a074043169bdc0f5e0222b9eaf026cab2f8ffef9807e41bb3a8f441e8384ff"),
+            (GRID_ONLY, "ddf17699e25d9bc349b61f3c9e323fbf43e9a4e25372f5f06a6976f0f7eed555"),
         ],
         ids=["readme", "grid-only"],
     )
@@ -102,7 +101,7 @@ class TestRanges:
             ({"inference": {"rel_tol": 0.0}}, "inference.rel_tol"),
             ({"inference": {"rel_tol": float("inf")}}, "inference.rel_tol"),
             ({"inference": {"rel_tol": float("nan")}}, "inference.rel_tol"),
-            ({"inference": {"eta_grid": "false"}}, "inference.eta_grid"),
+            ({"inference": {"eta_grid": False}}, "inference.eta_grid"),  # a removed key
             ({"seed": -1}, "seed"),
             ({"models": ["M9"]}, "models"),
             ({"models": "M1"}, "models"),

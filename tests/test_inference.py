@@ -527,18 +527,21 @@ class TestSamplePosterior:
         b = sample_posterior(model, eta, ds, n=100, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_eta_grid_mixture(self, rng):
+    def test_log_marginal_is_the_laplace_value_at_the_mode(self, rng):
+        """The reported log marginal is derived from the mode the draws are
+        taken at: the search's best objective for a fit, the Laplace value
+        at the given hyperparameters for ``sample_posterior``."""
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
         opt = optimize_hyperparameters(model, ds, budget=200)
-        fit = sample_posterior(
-            model, opt.eta_hat, ds, n=500, seed=4, mode=opt.mode,
-            log_marginal=opt.objective, eta_grid=True,
-        )
-        assert fit.samples.shape == (500, model.free_dim)
-        weights = np.array([w for _, w in fit.eta_grid])
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        fit = fit_model(model, ds, n_samples=50, seed=4, budget=200)
+        assert fit.log_marginal == opt.objective
+        eta = model.prior_model.default()
+        want = laplace_log_marginal(model, eta, ds)
+        mode = conditional_mode(model, eta, ds)
+        assert sample_posterior(model, eta, ds, n=50, seed=4, mode=mode).log_marginal == want
+        assert sample_posterior(model, eta, ds, n=50, seed=4).log_marginal == want
 
 
 def _optimize_summary(model, eta, data):

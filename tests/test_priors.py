@@ -265,7 +265,7 @@ CANDIDATES = [
 
 class TestCodec:
     """``PriorModel``'s map between hyperparameters and the transformed
-    vector the search, the ``eta_grid`` mixture and the oracle walk on."""
+    vector the search and the oracle walk on."""
 
     @pytest.mark.parametrize("n_strata, pattern, kind", CANDIDATES)
     def test_round_trip(self, n_strata, pattern, kind):

@@ -309,9 +309,7 @@ class TestDenseOnlyForDraws:
 
         # the one dense factorization: the Hessian at the optimum, for draws
         factored.clear()
-        fit = inference.sample_posterior(
-            model, opt.eta_hat, ds, n=20, seed=1, mode=opt.mode, log_marginal=opt.objective
-        )
+        fit = inference.sample_posterior(model, opt.eta_hat, ds, n=20, seed=1, mode=opt.mode)
         assert fit.samples.shape == (20, model.free_dim)
         assert factored == [(model.free_dim, model.free_dim)]
         assert dense_reads == ["dense_gram", "precision"]
