@@ -148,11 +148,14 @@ class RunConfig:
         baseline_spec = None
         b = _section(raw, "baseline", None)
         if b:
+            form = b.get("form", "point-plus-two-slopes")
+            if form != "point-plus-two-slopes":  # the form the baseline prior is stated in
+                raise ConfigError("baseline.form", f"must be 'point-plus-two-slopes', got {form!r}")
             try:
                 baseline_spec = BaselineSpec(
                     coordinates=b.get("coordinates", "age-cohort"),
                     triple=tuple(tuple(_integer(x) for x in pair) for pair in b["triple"]),
-                    form=b.get("form", "point-plus-two-slopes"),
+                    form=form,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("baseline", str(exc)) from exc

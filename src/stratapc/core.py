@@ -19,12 +19,14 @@ for period 1, then period 2, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Literal
 
 import numpy as np
 
 Coordinates = Literal["age-cohort", "age-period"]
 BaselineForm = Literal["three-points", "point-plus-two-slopes"]
+BLOCKS = ("baseline", "age", "period", "cohort")  # the canonical vector's blocks, in order
 
 
 class CollinearBaselineError(ValueError):
@@ -65,6 +67,12 @@ class GridSpec:
     def n_canonical(self) -> int:
         """Length of the identifiable parameter vector, 2(A+T) - 4."""
         return 2 * (self.n_age + self.n_period) - 4
+
+    @property
+    def block_slices(self) -> dict[str, slice]:
+        """Where each of ``BLOCKS`` sits in the canonical vector."""
+        lengths = (3, self.n_age - 2, self.n_period - 2, self.n_cohort - 2)
+        return {name: slice(end - n, end) for name, n, end in zip(BLOCKS, lengths, accumulate(lengths))}
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,7 @@ class CanonicalParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (grid.n_canonical,):
             raise ValueError(f"expected length {grid.n_canonical}, got {vec.shape}")
-        a, t, k = grid.n_age, grid.n_period, grid.n_cohort
-        return cls(
-            baseline=vec[:3],
-            curv_age=vec[3 : 3 + a - 2],
-            curv_period=vec[3 + a - 2 : 3 + a - 2 + t - 2],
-            curv_cohort=vec[3 + a - 2 + t - 2 :],
-        )
+        return cls(*(vec[cols] for cols in grid.block_slices.values()))  # fields in BLOCKS order
 
 
 def cohort_index(i: int, j: int, n_age: int) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _kernels
 from .core import curvature_basis, linear_coordinates
-from .inference import BLOCKS, PosteriorFit
+from .inference import PosteriorFit
 
 RR_AMBIGUITY_NOTE = (
     "cross-strata relative risks are identified only up to a multiplicative "
@@ -33,9 +33,10 @@ class PITResult:
 
 # fewest predictive draws per cell that ``pit`` accepts
 MIN_PIT_SAMPLES = 100
+_PIT_BINS = 20  # histogram bins over [0, 1]
 
 
-def pit(count_samples: np.ndarray, observed: np.ndarray, n_bins: int = 20) -> PITResult:
+def pit(count_samples: np.ndarray, observed: np.ndarray) -> PITResult:
     """Nonrandomized PIT for counts: 0.5 * (F(y) + F(y-1)) with F the
     empirical CDF of the predictive draws per cell (columns) and F(-1) = 0.
 
@@ -52,7 +53,7 @@ def pit(count_samples: np.ndarray, observed: np.ndarray, n_bins: int = 20) -> PI
     if samples.shape[0] < MIN_PIT_SAMPLES:
         raise ValueError(f"need at least {MIN_PIT_SAMPLES} predictive samples per cell")
     values = _kernels.pit_mean_cdf(samples, y)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, _PIT_BINS + 1)
     density_hist, _ = np.histogram(values, bins=edges, density=True)
     grid = np.linspace(0.0, 1.0, 201)
     density = _reflected_kde(values, grid)
@@ -190,24 +191,15 @@ def contrast_curve_from_canonical(
     grid = parts.grid
     canon_r1 = np.atleast_2d(np.asarray(canon_r1, dtype=float))
     canon_r2 = np.atleast_2d(np.asarray(canon_r2, dtype=float))
-    lengths = {
-        "age": grid.n_age - 2,
-        "period": grid.n_period - 2,
-        "cohort": grid.n_cohort - 2,
-    }
     sizes = {"age": grid.n_age, "period": grid.n_period, "cohort": grid.n_cohort}
-    offset = 3
-    slices = {}
-    for name in BLOCKS[1:]:
-        slices[name] = slice(offset, offset + lengths[name])
-        offset += lengths[name]
 
     t1 = np.atleast_2d(linear_coordinates(canon_r1, parts))
     t2 = np.atleast_2d(linear_coordinates(canon_r2, parts))
     dt = t1 - t2  # columns: (c0, age slope, period slope)
 
     h = curvature_basis(sizes[block])
-    dcurv = (canon_r1[:, slices[block]] - canon_r2[:, slices[block]]) @ h.T
+    cols = grid.block_slices[block]
+    dcurv = (canon_r1[:, cols] - canon_r2[:, cols]) @ h.T
 
     if block == "period":
         slope = dt[:, 2] + dt[:, 1] if "age" in shared else dt[:, 2]

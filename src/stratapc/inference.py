@@ -37,10 +37,11 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from . import _kernels
 from .core import (
+    BLOCKS,
     BaselineSpec,
     DesignParts,
     GridSpec,
@@ -57,8 +58,6 @@ from .covariance import (
 from .priors import HyperParameters, PCPriorBYM2, PriorConfig, PriorModel
 
 logger = logging.getLogger(__name__)
-
-BLOCKS = ("baseline", "age", "period", "cohort")
 
 _MODE_TOL = 1e-8  # the Newton mode is found below this gradient max-norm
 _MAX_HALVINGS = 30  # step halvings per Newton line search
@@ -237,44 +236,64 @@ def as_likelihood(data):
 
 
 class LatentPrior:
-    """Gaussian prior over the free latent vector at fixed hyperparameters.
-
-    A block's vec precision is Sigma^-1 (x) diag(within); where Sigma is the
-    identity (shared blocks, independent) that is diag(within).  ``within``
-    and ``rho`` hold each free coordinate's within-stratum precision and
-    exchangeable rho (0 where there is none).
+    """Gaussian prior over the free latent vector of ``model`` at ``eta``:
+    the one walk over the blocks that decides each one's mean, within-stratum
+    precision and cross-strata form.  ``blocks`` holds (slice, within,
+    Sigma, mean) per block; its vec precision is Sigma^-1 (x) diag(within),
+    and Sigma is None where it is the identity (shared blocks, independent).
+    ``within`` and ``rho`` hold each free coordinate's within-stratum
+    precision and exchangeable rho (0 where there is none).
     """
 
-    def __init__(self, blocks, free_dim: int, rhos: Sequence[float | None]):
+    def __init__(self, model: "LatentModel", eta: HyperParameters):
+        free_dim = model.free_dim
         self.mean = np.zeros(free_dim)
         self.within = np.zeros(free_dim)
         self.rho = np.zeros(free_dim)
         self._diagonal = np.zeros(free_dim)  # within where Sigma = I, else 0
         self.logdet = 0.0
         self.dim = free_dim
+        self.blocks: list[tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]] = []
         exchangeable = []
         # blocks with any other Sigma (bym2) apply Sigma^-1 as a matrix
         self._dense: list[tuple[slice, np.ndarray, np.ndarray]] = []
-        for (sl, within, sigma, block_mean), rho in zip(blocks, rhos):
-            copies = block_mean.shape[0] // within.shape[0]
+        for name in BLOCKS:
+            offset, length, shared = model.blocks[name]
+            copies = 1 if shared else model.n_strata
+            sl = slice(offset, offset + length * copies)
+            if shared and name == "baseline":
+                baseline = model.prior_model.baseline_mean
+                within, block_mean = 1.0 / baseline.variances, baseline.mean.copy()
+            elif name == "baseline" and eta.nu0 is None:
+                raise ValueError("varying baseline needs nu0 in eta")
+            else:  # a varying baseline is centred on nu0, every other block on 0
+                within = np.full(length, eta.taus[name])
+                centre = eta.nu0 if name == "baseline" else np.zeros(length)
+                block_mean = np.tile(np.asarray(centre, dtype=float), copies)
             self.logdet += copies * float(np.sum(np.log(within)))
             self.mean[sl] = block_mean
             self.within[sl].reshape(copies, -1)[:] = within
-            if rho is not None:
+            kind = "independent" if shared else model.structure.kind
+            sigma = None
+            if kind == "exchangeable":
+                rho = eta.rhos[name]
+                sigma = exchangeable_corr(copies, rho)
                 # closed form, accurate as rho -> 1 where a factor of Sigma is not
                 r1 = copies - 1
                 logdet_sigma = r1 * np.log1p(-rho) + np.log1p(r1 * rho)
                 self.rho[sl] = rho
                 exchangeable.append(np.arange(sl.start, sl.stop).reshape(copies, -1))
-            elif sigma is not None:
+            elif kind == "bym2":
+                sigma = bym2_corr(eta.rhos[name], model.scaled_qinv)
                 chol = sla.cholesky(sigma, lower=True)
                 inv = sla.cho_solve((chol, True), np.eye(copies))
                 logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
                 self._dense.append((sl, within, 0.5 * (inv + inv.T)))
             else:
                 self._diagonal[sl] = self.within[sl]
-                continue
-            self.logdet -= within.shape[0] * float(logdet_sigma)
+            if sigma is not None:
+                self.logdet -= length * float(logdet_sigma)
+            self.blocks.append((sl, within, sigma, block_mean))
         # every exchangeable coordinate as (stratum, column): Sigma^-1 is
         # a (I - 11'/R) + c 11'/R with a = 1/(1-rho), c = 1/(1+(R-1)rho)
         self._exch = np.concatenate(exchangeable, axis=1) if exchangeable else None
@@ -420,51 +439,13 @@ class LatentModel:
     # ------------------------------------------------------------------
     # latent prior
 
-    def _block_priors(
-        self, eta: HyperParameters
-    ) -> list[tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]]:
-        """(slice, within-stratum precision diagonal, cross-strata
-        covariance Sigma, mean) per block.
-
-        A varying block's vec precision is Sigma^-1 (x) diag(within); Sigma
-        is None for shared blocks and the independent structure, where it is
-        the identity.
-        """
-        out = []
-        for name in BLOCKS:
-            offset, length, shared = self.blocks[name]
-            copies = 1 if shared else self.n_strata
-            sl = slice(offset, offset + length * copies)
-            if shared and name == "baseline":
-                prior = self.prior_model.baseline_mean
-                out.append((sl, 1.0 / prior.variances, None, prior.mean.copy()))
-                continue
-            if shared or name != "baseline":
-                mean = np.zeros(length * copies)
-            elif eta.nu0 is None:
-                raise ValueError("varying baseline needs nu0 in eta")
-            else:
-                mean = np.tile(np.asarray(eta.nu0, dtype=float), copies)
-            sigma = None
-            if not shared and self.structure.kind == "exchangeable":
-                sigma = exchangeable_corr(copies, eta.rhos[name])
-            elif not shared and self.structure.kind == "bym2":
-                sigma = bym2_corr(eta.rhos[name], self.scaled_qinv)
-            out.append((sl, np.full(length, eta.taus[name]), sigma, mean))
-        return out
-
     def latent_prior(self, eta: HyperParameters) -> LatentPrior:
-        exchangeable = self.structure.kind == "exchangeable"
-        rhos = [
-            eta.rhos[name] if exchangeable and not self.blocks[name][2] else None
-            for name in BLOCKS
-        ]
-        return LatentPrior(self._block_priors(eta), self.free_dim, rhos)
+        return LatentPrior(self, eta)
 
     def sample_latent_prior(self, eta: HyperParameters, rng: np.random.Generator) -> np.ndarray:
         """One draw of the free latent vector from its prior at eta."""
         xi = np.zeros(self.free_dim)
-        for sl, within, sigma, mean in self._block_priors(eta):
+        for sl, within, sigma, mean in self.latent_prior(eta).blocks:
             z = rng.standard_normal((within.shape[0], mean.shape[0] // within.shape[0]))
             x = z / np.sqrt(within)[:, None]
             if sigma is not None:
@@ -477,36 +458,26 @@ class LatentModel:
     def default_init(self, likelihood) -> np.ndarray:
         """Zero start, with baseline coordinates seeded from the crude rate
         log(sum y / sum N) over the observed baseline cells of a
-        ``PoissonLikelihood`` (prior mean when those cells are all missing,
-        and for any other likelihood)."""
+        ``PoissonLikelihood`` (prior mean when those cells hold no death or
+        are all missing, and for any other likelihood).  sum N is taken in
+        log space, so exposures summing past the float range still give a
+        finite rate."""
         xi = np.zeros(self.free_dim)
         offset, length, shared = self.blocks["baseline"]
         cells = self.grid.n_cells
         b_rows = self.parts.baseline_rows
-        prior_mean = self.prior_model.baseline_mean.mean
-        poisson = isinstance(likelihood, PoissonLikelihood)
-
-        def crude(strata: Sequence[int]) -> np.ndarray:
-            if poisson:
+        # a shared baseline takes one crude rate over all strata
+        groups = [range(self.n_strata)] if shared else [[r] for r in range(self.n_strata)]
+        for k, strata in enumerate(groups):
+            start = self.prior_model.baseline_mean.mean
+            if isinstance(likelihood, PoissonLikelihood):
                 rows = np.concatenate([r * cells + b_rows for r in strata])
                 use = rows[likelihood.observed[rows]]
                 ysum = float(likelihood.y[use].sum())
-                nsum = float(likelihood.exposure[use].sum())
-                if ysum > 0 and nsum > 0:
-                    level = float(np.log(ysum / nsum))
-                    if self.baseline_spec.form == "three-points":
-                        return np.array([level, level, level])
-                    return np.array([level, 0.0, 0.0])
-            if self.baseline_spec.form == "three-points":
-                m = prior_mean
-                return np.array([m[0], m[0] + m[1], m[0] + m[2]])
-            return prior_mean.copy()
-
-        if shared:
-            xi[offset : offset + 3] = crude(range(self.n_strata))
-        else:
-            for r in range(self.n_strata):
-                xi[offset + 3 * r : offset + 3 * r + 3] = crude([r])
+                if ysum > 0:  # observed exposures are positive
+                    level = np.log(ysum) - logsumexp(np.log(likelihood.exposure[use]))
+                    start = np.array([float(level), 0.0, 0.0])
+            xi[offset + k * length : offset + (k + 1) * length] = start
         return xi
 
 
@@ -531,6 +502,11 @@ def assemble_model(
         prior_config = PriorConfig()
     if baseline_spec is None:
         baseline_spec = default_baseline_spec(grid, form="point-plus-two-slopes")
+    if baseline_spec.form != "point-plus-two-slopes":
+        raise ValueError(
+            f"baseline form {baseline_spec.form!r} is not fitted: the baseline prior "
+            "is stated in point-plus-two-slopes coordinates"
+        )
     if n_strata < 1:
         raise ValueError("need at least one stratum")
     if not pattern.varying and structure.kind != "independent":
@@ -550,29 +526,17 @@ def assemble_model(
         raise ValueError("correlation structures need at least 2 strata")
 
     parts = design_parts(grid, baseline_spec)
-    lengths = {
-        "baseline": 3,
-        "age": grid.n_age - 2,
-        "period": grid.n_period - 2,
-        "cohort": grid.n_cohort - 2,
-    }
     blocks: dict[str, tuple[int, int, bool]] = {}
+    col_index = np.zeros((n_strata, grid.n_canonical), dtype=int)
     offset = 0
-    for name in BLOCKS:
-        shared = pattern.is_shared(name)
-        blocks[name] = (offset, lengths[name], shared)
-        offset += lengths[name] if shared else lengths[name] * n_strata
+    for name, cols in grid.block_slices.items():
+        length, shared = cols.stop - cols.start, pattern.is_shared(name)
+        blocks[name] = (offset, length, shared)
+        # a shared block maps every stratum to the same positions
+        strata = 0 if shared else length * np.arange(n_strata)[:, None]
+        col_index[:, cols] = offset + strata + np.arange(length)
+        offset += length if shared else length * n_strata
     free_dim = offset
-
-    n_canon = grid.n_canonical
-    col_index = np.zeros((n_strata, n_canon), dtype=int)
-    col = 0
-    for name in BLOCKS:
-        b_off, length, shared = blocks[name]
-        for r in range(n_strata):
-            start = b_off if shared else b_off + r * length
-            col_index[r, col : col + length] = np.arange(start, start + length)
-        col += length
 
     tau_blocks = tuple(
         b for b in BLOCKS if b != "baseline" or not pattern.is_shared("baseline")
@@ -964,8 +928,9 @@ def optimize_hyperparameters(
     (log precisions, transformed correlations, raw baseline means) with a
     derivative-free simplex search.  ``data`` is a ``MortalityDataset`` or
     a likelihood (see ``as_likelihood``), resolved once for the whole
-    search.  Deterministic given the initial point; exhausting the budget
-    returns the best point with a warning flag."""
+    search.  Deterministic given the initial point; the search makes at most
+    ``budget`` Laplace evaluations, and exhausting it returns the best point
+    with a warning flag."""
     likelihood = as_likelihood(data)
     space = model.prior_model
     x0 = space.to_vector(init if init is not None else space.default())
@@ -989,10 +954,15 @@ def optimize_hyperparameters(
     f0 = negobj(x0)
     if f0 >= big:
         raise ModeError("Laplace objective is not finite at the initial point")
+    start = [f0]  # the simplex's first vertex is x0: serve it, do not evaluate it again
+
+    def vertex(x: np.ndarray) -> float:
+        return start.pop() if start and np.array_equal(x, x0) else negobj(x)
+
     n = x0.shape[0]
     simplex = np.vstack([x0] + [x0 + 0.5 * np.eye(n)[i] for i in range(n)])
     res = minimize(
-        negobj,
+        vertex,
         x0,
         method="Nelder-Mead",
         options={

@@ -173,7 +173,7 @@ class PCPriorBYM2:
     density includes the |d'(rho)| Jacobian, computed by central differences.
     """
 
-    def __init__(self, scaled_qinv: np.ndarray, median: float = 0.5):
+    def __init__(self, scaled_qinv: np.ndarray):
         eigvals = np.linalg.eigvalsh(np.asarray(scaled_qinv, dtype=float))
         shift = eigvals - 1.0
         # the generalized inverse has one exact null eigenvalue; snap it so
@@ -181,9 +181,7 @@ class PCPriorBYM2:
         shift[np.abs(shift + 1.0) < 1e-10] = -1.0
         self._shift = shift[shift != -1.0]
         self._n_null = int(np.sum(shift == -1.0))
-        if not (0.0 < median < 1.0):
-            raise ValueError("median must lie in (0, 1)")
-        self._rate = float(np.log(2.0) / self.distance(median))
+        self._rate = float(np.log(2.0) / self.distance(0.5))
 
     def _distance_u(self, u: float) -> float:
         """Distance as a function of u = -log(1-rho); smooth up to the
@@ -401,6 +399,9 @@ class PriorPredictiveSummary:
     frac_min_below_observed: float | None
 
 
+_DEGENERATE_LOGRATE = 30.0  # a simulated log rate above this marks a replicate degenerate
+
+
 def sample_prior_predictive(
     model: "LatentModel",
     exposures: np.ndarray,
@@ -409,14 +410,13 @@ def sample_prior_predictive(
     observed: np.ndarray | None = None,
     observed_counts: np.ndarray | None = None,
     fixed: HyperParameters | None = None,
-    degenerate_lograte: float = 30.0,
 ) -> PriorPredictiveSummary:
     """Simulate count surfaces from the joint prior.
 
     Each replicate draws hyperparameters from the hyperprior (or uses
     ``fixed``), latent coordinates from the matrix-normal priors, and Poisson
     counts on the observed cells.  Replicates with any log rate above
-    ``degenerate_lograte`` are flagged degenerate and excluded from the
+    ``_DEGENERATE_LOGRATE`` are flagged degenerate and excluded from the
     extrema; exposures must be strictly positive on observed cells.
     """
     from .inference import flatten_cells
@@ -438,7 +438,7 @@ def sample_prior_predictive(
         eta = fixed if fixed is not None else model.prior_model.sample(rng)
         xi = model.sample_latent_prior(eta, rng)
         mu = model.logrates_flat(xi)[obs_flat]
-        if np.max(mu) > degenerate_lograte:
+        if np.max(mu) > _DEGENERATE_LOGRATE:
             n_degenerate += 1
             continue
         counts = rng.poisson(exp_flat[obs_flat] * np.exp(mu))

@@ -86,10 +86,10 @@ def svg_line_plot(
     x: np.ndarray,
     series: dict[str, np.ndarray],
     title: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> None:
-    """Bare-bones multi-series line plot; one polyline per series."""
+    """Bare-bones multi-series line plot, 640 x 400 px; one polyline per
+    series."""
+    width, height = 640, 400
     x = np.asarray(x, dtype=float)
     all_y = np.concatenate([np.asarray(y, dtype=float) for y in series.values()])
     finite = np.isfinite(all_y)

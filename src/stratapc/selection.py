@@ -141,12 +141,6 @@ class ModelGridResult:
         bad = [e for e in self.entries if not e.ok]
         return good + bad
 
-    def best(self) -> GridEntry:
-        ranked = self.ranked()
-        if not ranked or not ranked[0].ok:
-            raise RuntimeError("no grid entry succeeded")
-        return ranked[0]
-
     def entry(self, pattern: str, structure: str) -> GridEntry:
         for e in self.entries:
             if e.pattern == pattern and e.structure == structure:

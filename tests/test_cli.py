@@ -36,6 +36,17 @@ def fast_config(path, config=None):
     return path
 
 
+def fit_one_stratum(tmp_path, deaths, exposure):
+    """``stratapc fit`` of M1 on one 6x6 stratum with the same deaths and
+    exposure in every cell."""
+    rows = [f"a,{age},{year},{deaths},{exposure}" for age in range(6) for year in range(6)]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["stratum,age,year,deaths,exposure", *rows]) + "\n")
+    cfg = fast_config(tmp_path / "config.json")
+    return main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "y"),
+                 "--pattern", "M1", "--structure", "independent"])
+
+
 class TestSimulate:
     def test_artifacts_exist(self, sim_dir):
         for name in ("data.csv", "truth.csv", "config.json", "graph.csv", "provenance.json"):
@@ -89,23 +100,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert "bin_width" in err
 
-    def test_numerical_failure_exit_2(self, tmp_path, capsys):
-        # absurd exposures overflow the likelihood at any finite log rate
-        data = tmp_path / "data.csv"
-        lines = ["stratum,age,year,deaths,exposure"]
-        for age in range(6):
-            for year in range(6):
-                lines.append(f"a,{age},{year},1000000,1e308")
-        data.write_text("\n".join(lines) + "\n")
-        cfg = fast_config(tmp_path / "config.json")
-        rc = main(
-            [
-                "fit", "--config", str(cfg), "--data", str(data),
-                "--out", str(tmp_path / "y"), "--pattern", "M1",
-                "--structure", "independent",
-            ]
-        )
-        assert rc == 2
+    def test_numerical_failure_exit_2(self, tmp_path, capsys, recwarn):
+        # a true rate of 1e400 is beyond float range: the likelihood
+        # overflows at the crude-rate start, so no point can be evaluated
+        assert fit_one_stratum(tmp_path, "1e200", "1e-200") == 2
+        assert "Laplace objective is not finite at the initial point" in capsys.readouterr().err
+        assert not [w for w in recwarn if "encountered in" in str(w.message)]
+
+    def test_exposures_past_float_range_fit(self, tmp_path, recwarn):
+        # the exposures sum past the float range; the crude rate is taken in log space
+        assert fit_one_stratum(tmp_path, "1000000", "1e308") == 0
+        assert not [w for w in recwarn if any(m in str(w.message) for m in ("divide", "overflow"))]
 
 
 class TestGrid:

@@ -123,6 +123,7 @@ class TestRanges:
             ({"prior": {"q": 0.1}}, "prior"),
             ({"structure": ["independent"]}, "structure"),
             ({"sead": 3}, "sead"),
+            ({"baseline": {**README_CONFIG["baseline"], "form": "three-points"}}, "baseline.form"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )

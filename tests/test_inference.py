@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg as sla
 from scipy import stats as sstats
 
-from stratapc.core import GridSpec
+from stratapc import inference
+from stratapc.core import GridSpec, default_baseline_spec
 from stratapc.covariance import (
     AdjacencyGraph,
     CrossStrataStructure,
@@ -85,6 +86,12 @@ class TestAssembly:
         structure = CrossStrataStructure(kind="bym2", graph=graph)
         with pytest.raises(Exception, match="connected"):
             assemble_model(GridSpec(5, 5), 4, "M6", structure)
+
+    def test_three_points_baseline_is_rejected(self):
+        # the baseline prior is stated in point-plus-two-slopes coordinates
+        spec = default_baseline_spec(GridSpec(5, 5), form="three-points")
+        with pytest.raises(ValueError, match="three-points"):
+            assemble_model(GridSpec(5, 5), 3, "M4", "independent", baseline_spec=spec)
 
     def test_bym2_graph_size_mismatch(self):
         graph = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -456,6 +463,23 @@ class TestOptimize:
         )
         opt_perm = optimize_hyperparameters(model, ds_perm, budget=600)
         assert opt.objective == pytest.approx(opt_perm.objective, abs=1e-4)
+
+    def test_budget_caps_laplace_evaluations(self, rng, monkeypatch):
+        # the simplex's first vertex is the start, whose value the search holds
+        grid = GridSpec(4, 4)
+        ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
+        model = assemble_model(grid, 2, "M5", "independent")
+        seen, real = [], inference._laplace_with_mode
+
+        def spy(model, eta, *args, **kwargs):
+            seen.append(model.prior_model.to_vector(eta))
+            return real(model, eta, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "_laplace_with_mode", spy)
+        with pytest.warns(RuntimeWarning, match="after 5 evaluations"):
+            opt = optimize_hyperparameters(model, ds, budget=5)
+        assert len(seen) == opt.n_evaluations == 5
+        assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
     def test_deterministic(self, rng):
         grid = GridSpec(4, 4)

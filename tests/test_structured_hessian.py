@@ -227,7 +227,7 @@ def test_logdet_at_the_clip_matches_extended_precision(pattern, zeta):
     op = StructuredHessian(model, grams, prior)
     with mpmath.workdps(40):
         h = mpmath.matrix(model.dense_gram(grams).tolist())
-        for sl, within, sigma, _ in model._block_priors(eta):
+        for sl, within, sigma, _ in prior.blocks:
             length = within.shape[0]
             copies = (sl.stop - sl.start) // length
             rho = prior.rho[sl.start]
