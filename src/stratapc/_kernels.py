@@ -1,15 +1,26 @@
-"""Hot numeric kernels in plain numpy.
+"""Hot numeric kernels in plain numpy, and the posterior readers' thread pool.
 
 These sit at the bottom of every likelihood evaluation, posterior scoring
 pass, and calibration scan.  ``perfbench/`` times them in place, inside the
 likelihood, pointwise-scoring and PIT layers of its end-to-end workloads.
 
-The posterior readers (pointwise scoring, WAIC, hindcasting, PIT) stream
-their (n_samples, cells) inputs through ``blocks``: each temporary holds
-about ``BLOCK`` elements, never a whole (n_samples, cells) matrix.
+The posterior readers (pointwise scoring, WAIC, hindcasting, PIT and the
+percentiles) stream their (n_samples, cells) inputs through ``blocks``:
+each temporary holds about ``BLOCK`` elements, never a whole
+(n_samples, cells) matrix.  All but the PIT counts hand their strata or
+column blocks to ``parallel_map``, which runs them on one Python thread
+per core; numpy
+releases the GIL in the element-wise functions, the sorts, the Poisson
+draws and the (single-threaded, see ``_threads``) BLAS calls.  Each task
+writes its own slice of the output with the operations a serial loop would
+run, so the thread count changes no bit of any result.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +41,72 @@ def blocks(length: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
+# The readers' pool: made on first use and owned by the process that made
+# it.  A child forked from a process holding a pool inherits the object but
+# none of its threads, so it makes its own.
+_pool: ThreadPoolExecutor | None = None
+_pool_key: tuple[int, int] | None = None  # (pid, threads) of _pool
+_pool_lock = threading.Lock()
+_task = threading.local()  # .active is true on a pool thread running a task
+_serial = False  # set by serial_readers
+
+
+def cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def reader_threads() -> int:
+    """Threads ``parallel_map`` runs on in this process: one per core, or
+    1 after ``serial_readers``."""
+    return 1 if _serial else cores()
+
+
+def serial_readers() -> None:
+    """Run this process's readers on its calling thread alone: the
+    initializer of ``fit_grid``'s worker processes, whose entries already
+    fill the cores."""
+    global _serial
+    _serial = True
+
+
+def _reader_pool(threads: int) -> ThreadPoolExecutor:
+    global _pool, _pool_key
+    key = (os.getpid(), threads)
+    with _pool_lock:
+        if _pool_key != key:
+            if _pool is not None and _pool_key[0] == key[0]:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="stratapc-reader")
+            _pool_key = key
+        return _pool
+
+
+def _run_task(fn, item):
+    _task.active = True
+    try:
+        return fn(item)
+    finally:
+        _task.active = False
+
+
+def parallel_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run on the process's reader pool.
+
+    The map runs serially on the calling thread when it has one item, when
+    ``reader_threads()`` is 1, and when it is called from inside a pool
+    task: a task that waits on tasks queued behind it in a full pool would
+    never finish.  Tasks must not call the layers that ``perfbench`` traces
+    (its span stack belongs to the calling thread)."""
+    items = list(items)
+    threads = reader_threads()
+    if len(items) <= 1 or threads <= 1 or getattr(_task, "active", False):
+        return [fn(item) for item in items]
+    return list(_reader_pool(threads).map(_run_task, [fn] * len(items), items))
+
+
 def percentiles(a, q):
     """``np.percentile(a, q, axis=0)`` of a float (n, m) matrix for a
     sequence ``q`` of percentiles in [0, 100], (len(q), m), equal to it
@@ -43,7 +120,8 @@ def percentiles(a, q):
     weight is 0.5 or more.  (numpy takes the last row for both neighbours
     at q = 100 and weights them by n; the two rows are equal there, so the
     value is the same.)  A block holding NaN goes through
-    ``np.percentile``, which returns NaN for the columns that hold one."""
+    ``np.percentile``, which returns NaN for the columns that hold one.
+    The column blocks are ``parallel_map`` tasks."""
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n, m = a.shape
@@ -53,16 +131,19 @@ def percentiles(a, q):
     t = (virtual - lo)[:, None]
     upper_half = t >= 0.5
     out = np.empty((virtual.size, m))
-    for cols in blocks(m, n):
+
+    def column_block(cols):
         block = np.ascontiguousarray(a[:, cols].T)
         block.sort(axis=1)
         if np.isnan(block[:, -1]).any():
             out[:, cols] = np.percentile(a[:, cols], q, axis=0)
-            continue
+            return
         below, above = block[:, lo].T, block[:, hi].T
         diff = above - below
         res = np.add(below, diff * t, out=out[:, cols])
         np.subtract(above, diff * (1 - t), out=res, where=upper_half)
+
+    parallel_map(column_block, blocks(m, n))
     return out
 
 
@@ -93,7 +174,10 @@ def pit_mean_cdf(count_samples, y):
     """Nonrandomized count PIT 0.5 * (F(y) + F(y-1)) from predictive draws,
     with F the empirical CDF per cell (columns) and F(-1) = 0.  The counts
     of draws at or below y and y - 1 accumulate over row blocks; they are
-    exact integers, so the blocking does not change the result."""
+    exact integers, so the blocking does not change the result.  The loop
+    stays on the calling thread: it reads the draws twice and does little
+    else, and on two cores neither column-block nor row-range tasks ran
+    faster than it."""
     n, cells = count_samples.shape
     at = np.zeros(cells, dtype=np.intp)
     below = np.zeros(cells, dtype=np.intp)

@@ -11,6 +11,10 @@ integer is logged as a warning and pins the default.
 The pin goes through OpenBLAS's own thread setter, called with ``ctypes``
 on every OpenBLAS mapped into the process (numpy and scipy each bundle
 one), so it reaches only libraries already loaded when it runs.
+
+The cores are used instead by the posterior readers: ``_kernels.parallel_map``
+runs their strata and column blocks on one Python thread per core, and
+each BLAS call a task makes still runs on one thread.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Subcommands: ``simulate`` (synthetic data generator), ``fit`` (one model),
 ``grid`` (the full model grid with WAIC), ``prior-check`` (prior-predictive
 summary), ``hindcast`` (masked-cell prediction with PIT), and ``rr``
 (cross-strata relative-risk curves).  Outputs are CSV tables and JSON
-summaries with provenance (config hash, seed, versions, cores and BLAS
-threads); exit status is 0 on success, 1 on usage errors, 2 on numerical
-failures.
+summaries with provenance (config hash, seed, versions, cores, BLAS threads
+and posterior-reader threads); exit status is 0 on success, 1 on usage
+errors, 2 on numerical failures.
 """
 
 from __future__ import annotations
@@ -353,6 +353,8 @@ def _cmd_grid(args) -> int:
     grid_config = dataclasses.replace(
         fit_config, patterns=models, structures=structures, workers=args.workers
     )
+    if args.workers > 1:  # each worker process scores its entries on one thread
+        meta["provenance"]["environment"]["reader_threads"] = 1
     result = fit_grid(dataset, grid_config)
     rows = [
         (e["pattern"], e["structure"], e["waic"], e["lppd"], e["p_waic"],

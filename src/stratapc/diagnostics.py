@@ -114,11 +114,15 @@ def hindcast(
     target cells (which may be unobserved; the latent model defines their
     rates).  Exposures are required input.
 
-    Log rates are mapped only for the strata holding targets, one stratum
-    at a time, into the output array; the counts then replace them over row
-    blocks, which consume the generator in C order as one whole-matrix draw
-    would, and the percentiles sort each column block once
-    (``_kernels.percentiles``)."""
+    Each stratum holding targets is one ``_kernels.parallel_map`` task with
+    its own Poisson stream: stratum r draws from
+    ``default_rng(SeedSequence(seed).spawn(model.n_strata)[r])``, consumed
+    in C order over its (n_samples, targets in r) submatrix with the
+    targets in their given order.  The task maps the stratum's log rates,
+    then replaces them by counts over row blocks, which consume the stream
+    as one whole-submatrix draw would; so the draws depend on neither
+    ``_kernels.BLOCK`` nor the thread count.  The percentiles sort each
+    column block once (``_kernels.percentiles``)."""
     if exposures is None:
         raise ValueError("hindcasting requires exposures for the target cells")
     targets = np.atleast_2d(np.asarray(targets, dtype=int))
@@ -142,14 +146,20 @@ def hindcast(
     n, n_targets = fit.n_samples, targets.shape[0]
     cell = targets[:, 2] * grid.n_age + targets[:, 1]
     samples = np.empty((n, n_targets))
-    for r in np.unique(targets[:, 0]):
+    streams = np.random.SeedSequence(seed).spawn(model.n_strata)
+
+    def stratum(r):
         at = np.flatnonzero(targets[:, 0] == r)
-        samples[:, at] = model.stratum_logrates(fit.samples, r)[:, cell[at]]
-    rng = np.random.default_rng(seed)
-    for rows in _kernels.blocks(n, n_targets):
-        rate = np.exp(samples[rows])
-        rate *= n_target
-        samples[rows] = rng.poisson(rate)
+        counts = model.stratum_logrates(fit.samples, r)[:, cell[at]]
+        exposure = n_target[at]
+        rng = np.random.default_rng(streams[r])
+        for rows in _kernels.blocks(n, at.size):
+            rate = np.exp(counts[rows])
+            rate *= exposure
+            counts[rows] = rng.poisson(rate)
+        samples[:, at] = counts
+
+    _kernels.parallel_map(stratum, np.unique(targets[:, 0]))
     lower, median, upper = _kernels.percentiles(samples, [2.5, 50.0, 97.5])
     return HindcastResult(
         targets=targets, samples=samples, median=median, lower=lower, upper=upper

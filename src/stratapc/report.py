@@ -7,11 +7,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from ._kernels import cores, reader_threads
 from ._threads import blas_threads
 
 
@@ -73,10 +73,9 @@ def provenance(config_dict: dict | None, seed: int | None) -> dict:
             "scipy": scipy.__version__,
         },
         "environment": {
-            "cores": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity")
-            else os.cpu_count(),
+            "cores": cores(),
             "openblas_threads": blas_threads(),
+            "reader_threads": reader_threads(),
         },
     }
 

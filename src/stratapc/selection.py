@@ -55,9 +55,10 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     (e.g. all-zero predictive mass) are flagged, excluded from the sums, and
     reported.
 
-    Both terms are per cell, so they are computed over column blocks; each
-    block is copied to Fortran order so that every cell reduces over one
-    contiguous column and its terms do not depend on the block width.
+    Both terms are per cell, so they are computed over column blocks, one
+    ``_kernels.parallel_map`` task each; each block is copied to Fortran
+    order so that every cell reduces over one contiguous column and its
+    terms do not depend on the block width or the thread count.
     """
     ll = np.asarray(loglik_samples, dtype=float)
     if ll.ndim != 2 or ll.shape[0] < 2:
@@ -66,7 +67,8 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     finite = np.empty(cells, dtype=bool)
     lse = np.empty(cells)
     var = np.empty(cells)
-    for cols in _kernels.blocks(cells, n):
+
+    def column_block(cols):
         block = np.asfortranarray(ll[:, cols])
         keep = np.all(np.isfinite(block), axis=0)
         finite[cols] = keep
@@ -74,6 +76,8 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
             block = block[:, keep]
         lse[cols][keep] = logsumexp(block, axis=0)
         var[cols][keep] = np.var(block, axis=0, ddof=1)
+
+    _kernels.parallel_map(column_block, _kernels.blocks(cells, n))
     flagged = np.flatnonzero(~finite)
     if flagged.size:
         warnings.warn(
@@ -91,8 +95,9 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
     """Per-posterior-sample, per-observed-cell Poisson log likelihoods,
     (n_samples, n_observed) in the model's cell order.
 
-    The draws are mapped to log rates one stratum at a time and the kernel
-    writes each stratum's observed cells straight into the output, so no
+    The draws are mapped to log rates one stratum at a time, one
+    ``_kernels.parallel_map`` task each, and the kernel writes each
+    stratum's observed cells straight into the output, so no
     (n_samples, R * cells) log-rate matrix is built; a stratum with every
     cell observed is read without a copy.
     """
@@ -101,10 +106,12 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
     y = lik.y[lik.observed]
     exposure = lik.exposure[lik.observed]
     out = np.empty((fit.n_samples, y.shape[0]))
-    start = 0
-    for r, keep in enumerate(lik.observed.reshape(model.n_strata, -1)):
-        cols = slice(start, start + np.count_nonzero(keep))
-        start = cols.stop
+    keeps = lik.observed.reshape(model.n_strata, -1)
+    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(keeps, axis=1))))
+
+    def stratum(r):
+        keep = keeps[r]
+        cols = slice(bounds[r], bounds[r + 1])
         logrates = model.stratum_logrates(fit.samples, r)
         _kernels.pointwise_poisson_ll(
             logrates if keep.all() else logrates[:, keep],
@@ -113,6 +120,8 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
             lik.cell_constants[cols],
             out=out[:, cols],
         )
+
+    _kernels.parallel_map(stratum, range(model.n_strata))
     return out
 
 
@@ -253,14 +262,18 @@ def fit_grid(data: MortalityDataset, config: GridConfig | None = None) -> ModelG
     """Fit every (pattern, structure) candidate and score it by WAIC.
 
     Entry seeds derive from the grid seed in canonical entry order, so the
-    result is independent of fit order and worker count.
+    result is independent of fit order and worker count.  With more than
+    one worker process the entries fill the cores, so each worker scores
+    its entries on one thread (``_kernels.serial_readers``).
     """
     if config is None:
         config = GridConfig(structures=("independent", "exchangeable"))
     specs = _entry_specs(data, config)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(len(specs))]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_kernels.serial_readers
+        ) as pool:
             entries = list(
                 pool.map(_fit_entry, [data] * len(specs), [config] * len(specs), specs, seeds)
             )

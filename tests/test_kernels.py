@@ -1,8 +1,10 @@
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -128,6 +130,55 @@ class TestPercentiles:
         got = _kernels.percentiles(a, self.Q)
         assert np.isnan(got[:, 3]).all()
         assert np.array_equal(got, np.percentile(a, self.Q, axis=0), equal_nan=True)
+
+
+class TestParallelMap:
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "cores", lambda: 2)
+
+    def test_maps_in_order(self):
+        assert _kernels.parallel_map(lambda i: i * i, range(9)) == [i * i for i in range(9)]
+
+    def test_nested_map_finishes(self):
+        # every pool thread runs an outer task that maps again: queued into
+        # the same full pool, the inner tasks would never start
+        out = []
+
+        def outer(i):
+            return _kernels.parallel_map(lambda j: (i, j), range(3))
+
+        runner = threading.Thread(
+            target=lambda: out.append(_kernels.parallel_map(outer, range(4))), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "nested parallel_map did not finish"
+        assert out == [[[(i, j) for j in range(3)] for i in range(4)]]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_makes_its_own_pool(self):
+        _kernels.parallel_map(abs, range(-3, 3))  # the parent's pool is running
+
+        def child():
+            sys.exit(0 if _kernels.parallel_map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2] else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            pytest.fail("parallel_map in a forked child did not finish")
+        assert proc.exitcode == 0
+
+    def test_serial_readers_run_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_serial", False)
+        _kernels.serial_readers()
+        assert _kernels.reader_threads() == 1
+        names = _kernels.parallel_map(lambda _: threading.current_thread().name, range(4))
+        assert set(names) == {threading.current_thread().name}
 
 
 class TestOverflow:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from stratapc import _kernels
 from stratapc.core import GridSpec
 from stratapc.covariance import AdjacencyGraph
 from stratapc.data import simulate_dataset
@@ -136,6 +139,23 @@ class TestFitGrid:
         for a, b in zip(sequential.ranked(), parallel.ranked()):
             assert (a.pattern, a.structure) == (b.pattern, b.structure)
             assert a.waic == pytest.approx(b.waic, abs=1e-12)
+
+    def test_workers_after_the_parent_pool_started(self, monkeypatch):
+        # the parent's reader pool runs when the grid forks its workers; the
+        # workers score on one thread each and give the same bits
+        monkeypatch.setattr(_kernels, "cores", lambda: 2)
+        ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M5", seed=8, exposure=1e4)
+        sequential = fit_grid(ds, quick_grid_config(patterns=("M1", "M5"), n_samples=100, budget=60))
+        assert _kernels._pool_key == (os.getpid(), 2)
+        parallel = fit_grid(
+            ds,
+            quick_grid_config(patterns=("M1", "M5"), n_samples=100, budget=60, workers=2),
+        )
+        assert len(parallel.entries) == len(sequential.entries)
+        for a, b in zip(sequential.entries, parallel.entries):
+            assert (a.pattern, a.structure) == (b.pattern, b.structure)
+            assert (a.waic, a.lppd, a.p_waic, a.converged) == (b.waic, b.lppd, b.p_waic, b.converged)
+            assert np.array_equal(a.fit.samples, b.fit.samples)
 
     def test_pointwise_loglik_shape(self, rng):
         ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M5", seed=7, exposure=1e4)

@@ -2,14 +2,17 @@
 
 ``pointwise_loglik``, ``waic``, ``hindcast``, ``pit``, the relative-risk
 curves and the CLI's log-rate percentiles work per stratum or over blocks of
-``_kernels.BLOCK`` elements.
+``_kernels.BLOCK`` elements, as tasks of ``_kernels.parallel_map``.
 The one-shot formulas they replaced are kept here as oracles.  With the
 block constant patched small, every blocked path crosses several block
 boundaries (width-one blocks, and a ragged last block) and must still
-reproduce its oracle bit for bit.  The memory guards check that the readers
-hold no whole-matrix temporaries.
+reproduce its oracle bit for bit, and give the same bits on one thread and
+on several.  The memory guards check that the readers hold no whole-matrix
+temporaries.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,12 +169,18 @@ def test_hindcast_matches_whole_matrix(small_blocks, fit, dataset):
     assert not dataset.observed[tuple(targets.T)].all()
     result = hindcast(fit, targets, dataset.exposures, seed=11)
 
+    # one Poisson stream per stratum, each drawn over its whole
+    # (n_samples, targets in r) submatrix at once
     g = dataset.grid
     flat = targets[:, 0] * g.n_cells + targets[:, 2] * g.n_age + targets[:, 1]
     exposure = dataset.exposures[tuple(targets.T)]
-    draws = np.random.default_rng(11).poisson(
-        exposure[None, :] * np.exp(fit.lograte_samples[:, flat])
-    ).astype(float)
+    streams = np.random.SeedSequence(11).spawn(SHAPE[0])
+    draws = np.empty((N_DRAWS, len(targets)))
+    for r in range(SHAPE[0]):
+        at = np.flatnonzero(targets[:, 0] == r)
+        draws[:, at] = np.random.default_rng(streams[r]).poisson(
+            exposure[None, at] * np.exp(fit.lograte_samples[:, flat[at]])
+        )
     lower, median, upper = np.percentile(draws, [2.5, 50.0, 97.5], axis=0)
     assert np.array_equal(result.samples, draws)
     assert np.array_equal(result.lower, lower)
@@ -219,6 +228,58 @@ def test_gaussian_draws_match_whole_formula(dataset):
     z = np.random.default_rng(3).standard_normal((model.free_dim, 40))
     delta = sla.solve_triangular(mode.chol, z, lower=True, trans="T")
     assert np.array_equal(draws, (mode.xi[:, None] + delta).T)
+
+
+# ----------------------------------------------------------------------
+# thread count: every reader gives the same bits on one thread and on several
+
+
+def reader_outputs(dataset):
+    """Every output of the streamed readers, on 120 draws (pit needs 100)."""
+    model = assemble_model(dataset.grid, dataset.n_strata, "M4", "exchangeable")
+    fit = draws_fit(model, 120, seed=4)
+    targets = np.argwhere(np.ones(SHAPE, dtype=bool))[::-1]  # every cell, reversed
+    ll = pointwise_loglik(fit, dataset)
+    score = waic(ll)
+    counts = hindcast(fit, targets, dataset.exposures, seed=11)
+    calibration = pit(counts.samples, dataset.counts[tuple(targets.T)])
+    rr = cross_strata_rr(fit, "period", 0, 2)
+    return {
+        "pointwise_loglik": ll,
+        "waic": np.array(score.as_tuple()),
+        "hindcast": np.stack([counts.lower, counts.median, counts.upper]),
+        "hindcast_samples": counts.samples,
+        "pit": calibration.values,
+        "pit_density": calibration.density,
+        "cross_strata_rr": np.stack([rr.lower, rr.median, rr.upper]),
+        "lograte_percentiles": _lograte_percentiles(fit),
+    }
+
+
+def test_thread_count_changes_no_bit(small_blocks, dataset, monkeypatch):
+    monkeypatch.setattr(_kernels, "reader_threads", lambda: 1)
+    serial = reader_outputs(dataset)
+
+    pool_threads = set()
+    run_task = _kernels._run_task
+
+    def spy(fn, item):
+        pool_threads.add(threading.current_thread().name)
+        return run_task(fn, item)
+
+    # more threads than cores, switching often: a task writing outside its
+    # own slice, or sharing a generator, would show as changed bits
+    monkeypatch.setattr(_kernels, "_run_task", spy)
+    monkeypatch.setattr(_kernels, "reader_threads", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = reader_outputs(dataset)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_threads and all(n.startswith("stratapc-reader") for n in pool_threads)
+    for name, value in serial.items():
+        assert np.array_equal(threaded[name], value), name
 
 
 # ----------------------------------------------------------------------
