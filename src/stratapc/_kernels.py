@@ -9,11 +9,12 @@ percentiles) stream their (n_samples, cells) inputs through ``blocks``:
 each temporary holds about ``BLOCK`` elements, never a whole
 (n_samples, cells) matrix.  All but the PIT counts hand their strata or
 column blocks to ``parallel_map``, which runs them on one Python thread
-per core; numpy
-releases the GIL in the element-wise functions, the sorts, the Poisson
-draws and the (single-threaded, see ``_threads``) BLAS calls.  Each task
-writes its own slice of the output with the operations a serial loop would
-run, so the thread count changes no bit of any result.
+per core, at most ``MAX_READER_THREADS``, so that the memory in flight does
+not grow with the core count; numpy releases the GIL in the element-wise
+functions, the sorts, the Poisson draws and the (single-threaded, see
+``_threads``) BLAS calls.  Each task writes its own slice of the output
+with the operations a serial loop would run, so the thread count changes
+no bit of any result.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ def blocks(length: int, width: int) -> list[slice]:
 # it.  A child forked from a process holding a pool inherits the object but
 # none of its threads, so it makes its own.
 _pool: ThreadPoolExecutor | None = None
-_pool_key: tuple[int, int] | None = None  # (pid, threads) of _pool
+_pool_pid: int | None = None  # the process that made _pool
 _pool_lock = threading.Lock()
 _task = threading.local()  # .active is true on a pool thread running a task
-_serial = False  # set by serial_readers
+
+# Most threads a pool runs: each task holds about BLOCK elements of
+# temporaries (a hindcast task, one stratum's draws), so the cap keeps the
+# readers' memory in flight from growing with the core count.
+MAX_READER_THREADS = 4
 
 
 def cores() -> int:
@@ -59,29 +64,29 @@ def cores() -> int:
 
 
 def reader_threads() -> int:
-    """Threads ``parallel_map`` runs on in this process: one per core, or
-    1 after ``serial_readers``."""
-    return 1 if _serial else cores()
+    """Threads ``parallel_map`` runs on: one per core, at most
+    ``MAX_READER_THREADS``."""
+    return min(cores(), MAX_READER_THREADS)
 
 
-def serial_readers() -> None:
-    """Run this process's readers on its calling thread alone: the
-    initializer of ``fit_grid``'s worker processes, whose entries already
-    fill the cores."""
-    global _serial
-    _serial = True
-
-
-def _reader_pool(threads: int) -> ThreadPoolExecutor:
-    global _pool, _pool_key
-    key = (os.getpid(), threads)
+def _reader_pool() -> ThreadPoolExecutor:
+    global _pool, _pool_pid
     with _pool_lock:
-        if _pool_key != key:
-            if _pool is not None and _pool_key[0] == key[0]:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="stratapc-reader")
-            _pool_key = key
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(reader_threads(), thread_name_prefix="stratapc-reader")
+            _pool_pid = os.getpid()
         return _pool
+
+
+def stop_reader_pool() -> None:
+    """Join this process's reader threads; the next map makes a new pool.
+    ``fit_grid`` calls it before it forks worker processes, so that they
+    are forked from a process running one thread."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is not None and _pool_pid == os.getpid():
+            _pool.shutdown()
+        _pool = _pool_pid = None
 
 
 def _run_task(fn, item):
@@ -101,10 +106,9 @@ def parallel_map(fn, items) -> list:
     never finish.  Tasks must not call the layers that ``perfbench`` traces
     (its span stack belongs to the calling thread)."""
     items = list(items)
-    threads = reader_threads()
-    if len(items) <= 1 or threads <= 1 or getattr(_task, "active", False):
+    if len(items) <= 1 or reader_threads() <= 1 or getattr(_task, "active", False):
         return [fn(item) for item in items]
-    return list(_reader_pool(threads).map(_run_task, [fn] * len(items), items))
+    return list(_reader_pool().map(_run_task, [fn] * len(items), items))
 
 
 def percentiles(a, q):

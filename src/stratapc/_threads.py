@@ -13,8 +13,9 @@ on every OpenBLAS mapped into the process (numpy and scipy each bundle
 one), so it reaches only libraries already loaded when it runs.
 
 The cores are used instead by the posterior readers: ``_kernels.parallel_map``
-runs their strata and column blocks on one Python thread per core, and
-each BLAS call a task makes still runs on one thread.
+runs their strata and column blocks on one Python thread per core (at
+most ``_kernels.MAX_READER_THREADS``), and each BLAS call a task makes
+still runs on one thread.
 """
 
 from __future__ import annotations

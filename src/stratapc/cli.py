@@ -353,8 +353,6 @@ def _cmd_grid(args) -> int:
     grid_config = dataclasses.replace(
         fit_config, patterns=models, structures=structures, workers=args.workers
     )
-    if args.workers > 1:  # each worker process scores its entries on one thread
-        meta["provenance"]["environment"]["reader_threads"] = 1
     result = fit_grid(dataset, grid_config)
     rows = [
         (e["pattern"], e["structure"], e["waic"], e["lppd"], e["p_waic"],

@@ -262,18 +262,17 @@ def fit_grid(data: MortalityDataset, config: GridConfig | None = None) -> ModelG
     """Fit every (pattern, structure) candidate and score it by WAIC.
 
     Entry seeds derive from the grid seed in canonical entry order, so the
-    result is independent of fit order and worker count.  With more than
-    one worker process the entries fill the cores, so each worker scores
-    its entries on one thread (``_kernels.serial_readers``).
+    result is independent of fit order and worker count.  The worker
+    processes are forked after this process's reader threads are joined
+    (``_kernels.stop_reader_pool``); each makes its own reader pool.
     """
     if config is None:
         config = GridConfig(structures=("independent", "exchangeable"))
     specs = _entry_specs(data, config)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(len(specs))]
     if config.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_kernels.serial_readers
-        ) as pool:
+        _kernels.stop_reader_pool()
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             entries = list(
                 pool.map(_fit_entry, [data] * len(specs), [config] * len(specs), specs, seeds)
             )

@@ -134,8 +134,8 @@ class TestPercentiles:
 
 class TestParallelMap:
     @pytest.fixture(autouse=True)
-    def two_threads(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "cores", lambda: 2)
+    def two_threads(self, reader_threads):
+        reader_threads(2)
 
     def test_maps_in_order(self):
         assert _kernels.parallel_map(lambda i: i * i, range(9)) == [i * i for i in range(9)]
@@ -173,12 +173,18 @@ class TestParallelMap:
             pytest.fail("parallel_map in a forked child did not finish")
         assert proc.exitcode == 0
 
-    def test_serial_readers_run_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_serial", False)
-        _kernels.serial_readers()
-        assert _kernels.reader_threads() == 1
-        names = _kernels.parallel_map(lambda _: threading.current_thread().name, range(4))
-        assert set(names) == {threading.current_thread().name}
+    def test_threads_are_capped(self, reader_threads):
+        reader_threads(64)
+        assert _kernels.reader_threads() == _kernels.MAX_READER_THREADS
+        names = _kernels.parallel_map(lambda _: threading.current_thread().name, range(64))
+        assert len(set(names)) <= _kernels.MAX_READER_THREADS
+
+    def test_stopped_pool_joins_its_threads_and_comes_back(self):
+        workers = _kernels.parallel_map(lambda _: threading.current_thread(), range(4))
+        _kernels.stop_reader_pool()
+        assert not [t for t in workers if t.is_alive()]
+        assert _kernels.parallel_map(abs, range(-2, 2)) == [2, 1, 0, 1]
+        assert _kernels._pool_pid == os.getpid()
 
 
 class TestOverflow:

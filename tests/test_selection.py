@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -141,16 +142,28 @@ class TestFitGrid:
             assert a.waic == pytest.approx(b.waic, abs=1e-12)
 
     def test_workers_after_the_parent_pool_started(self, monkeypatch):
-        # the parent's reader pool runs when the grid forks its workers; the
-        # workers score on one thread each and give the same bits
+        # the parent's reader pool runs before the grid forks its workers:
+        # its threads are joined first, and the workers, each with a pool
+        # of its own, give the same bits
         monkeypatch.setattr(_kernels, "cores", lambda: 2)
         ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M5", seed=8, exposure=1e4)
         sequential = fit_grid(ds, quick_grid_config(patterns=("M1", "M5"), n_samples=100, budget=60))
-        assert _kernels._pool_key == (os.getpid(), 2)
+        assert _kernels._pool_pid == os.getpid()
+        threads_at_fork = []
+        fork = os.fork
+
+        def traced_fork():
+            threads_at_fork.append([t.name for t in threading.enumerate()])
+            return fork()
+
+        monkeypatch.setattr(os, "fork", traced_fork)
         parallel = fit_grid(
             ds,
             quick_grid_config(patterns=("M1", "M5"), n_samples=100, budget=60, workers=2),
         )
+        assert threads_at_fork
+        for names in threads_at_fork:
+            assert not [n for n in names if n.startswith("stratapc-reader")], names
         assert len(parallel.entries) == len(sequential.entries)
         for a, b in zip(sequential.entries, parallel.entries):
             assert (a.pattern, a.structure) == (b.pattern, b.structure)

@@ -256,8 +256,8 @@ def reader_outputs(dataset):
     }
 
 
-def test_thread_count_changes_no_bit(small_blocks, dataset, monkeypatch):
-    monkeypatch.setattr(_kernels, "reader_threads", lambda: 1)
+def test_thread_count_changes_no_bit(small_blocks, dataset, reader_threads, monkeypatch):
+    reader_threads(1)
     serial = reader_outputs(dataset)
 
     pool_threads = set()
@@ -270,7 +270,7 @@ def test_thread_count_changes_no_bit(small_blocks, dataset, monkeypatch):
     # more threads than cores, switching often: a task writing outside its
     # own slice, or sharing a generator, would show as changed bits
     monkeypatch.setattr(_kernels, "_run_task", spy)
-    monkeypatch.setattr(_kernels, "reader_threads", lambda: 3)
+    reader_threads(3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -312,3 +312,12 @@ def test_hindcast_peak_is_near_its_output():
     assert len(targets) == 4000
     result, peak = traced_peak(lambda: hindcast(fit, targets, exposures, seed=1))
     assert peak < 1.3 * result.samples.nbytes
+
+
+def test_memory_guards_hold_on_many_cores(reader_threads, rng):
+    # the pool's thread cap keeps the memory the readers hold at once from
+    # growing with the core count
+    reader_threads(64)
+    assert _kernels.reader_threads() == _kernels.MAX_READER_THREADS
+    test_waic_allocates_a_fraction_of_its_input(rng)
+    test_hindcast_peak_is_near_its_output()
