@@ -122,12 +122,13 @@ class BaselineSpec:
     ``form`` selects how the three coordinates enter the canonical vector:
     either the three log rates themselves ("three-points") or one log rate
     plus two successive differences ("point-plus-two-slopes").  The two forms
-    share identical curvature columns in the design matrix.
+    share identical curvature columns in the design matrix.  The default is
+    the slopes form, the one fits take: the baseline prior is stated in it.
     """
 
     coordinates: Coordinates
     triple: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    form: BaselineForm = "three-points"
+    form: BaselineForm = "point-plus-two-slopes"
 
     def cells_age_period(self, grid: GridSpec) -> list[tuple[int, int]]:
         """The three baseline cells as 0-based (age, period) pairs."""
@@ -203,7 +204,9 @@ def middle_index(n_age: int) -> int:
     return (n_age + 1) // 2
 
 
-def default_baseline_spec(grid: GridSpec, form: BaselineForm = "three-points") -> BaselineSpec:
+def default_baseline_spec(
+    grid: GridSpec, form: BaselineForm = "point-plus-two-slopes"
+) -> BaselineSpec:
     """Default baseline placement.
 
     Odd A: the middle age-cohort triple {(U,U), (U+1,U), (U,U+1)}, which puts
@@ -279,7 +282,17 @@ def _vec_index(i0: int, j0: int, n_age: int) -> int:
 @dataclass(frozen=True)
 class DesignParts:
     """Internals of the canonical design: the linear-content columns, the
-    curvature columns, and the baseline-cell rows used to re-anchor them."""
+    curvature columns, the baseline-cell rows used to re-anchor them, and the
+    design's factorization ``matrix = Y @ loadings`` by effect.
+
+    Every design column is additive in an age, a period and a cohort effect,
+    so a cell's row is the sum of three rows of ``loadings``: its age row
+    ``i0``, its period row ``A + j0`` and its cohort row ``A + T + k0``, the
+    three entries of ``effect_rows``.  Y is the one-hot (age | period |
+    cohort) indicator of ``effect_rows``.  The sum reproduces ``matrix``
+    exactly when B^-1 is exact in binary (as for both default triples, where
+    det B = +-1), and to rounding otherwise.
+    """
 
     grid: GridSpec
     spec: BaselineSpec
@@ -288,6 +301,8 @@ class DesignParts:
     baseline_rows: np.ndarray  # (3,) vec indices of the baseline cells
     b_matrix: np.ndarray    # (3, 3) = x_lin[baseline_rows]
     matrix: np.ndarray      # the assembled design, (n_cells, n_canonical)
+    loadings: np.ndarray    # F, (n_age + n_period + n_cohort, n_canonical)
+    effect_rows: np.ndarray  # (n_cells, 3) int: each cell's age, period and cohort row of F
 
 
 def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
@@ -299,6 +314,11 @@ def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
     on the three baseline cells gives the canonical design
     ``M = [X_lin B^-1 | X_curv - X_lin B^-1 X_curv[baseline rows]]``
     with ``B = X_lin[baseline rows]``.
+
+    The same map applied to one row per age, period and cohort effect gives
+    the loadings F with ``M = Y F``: the age rows carry (1, i0, 0) and the age
+    ramps, the period rows (0, 0, j0) and the period ramps, the cohort rows
+    the cohort ramps.
     """
     a, t, k = grid.n_age, grid.n_period, grid.n_cohort
     cells = spec.cells_age_period(grid)
@@ -306,13 +326,20 @@ def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
     # column-major by period: all ages for period 0, then period 1, ...
     i0 = np.tile(np.arange(a), t)
     j0 = np.repeat(np.arange(t), a)
-    k0 = (a - 1) - i0 + j0
+    effect_rows = np.column_stack([i0, a + j0, a + t + (a - 1) - i0 + j0])
 
-    x_lin = np.column_stack([np.ones(a * t), i0.astype(float), j0.astype(float)])
-    h_age = curvature_basis(a)
-    h_period = curvature_basis(t)
-    h_cohort = curvature_basis(k)
-    x_curv = np.concatenate([h_age[i0], h_period[j0], h_cohort[k0]], axis=1)
+    # the linear and curvature content per effect row: age rows, then
+    # period rows, then cohort rows; a cell's row is the sum of its three
+    e_lin = np.zeros((a + t + k, 3))
+    e_lin[:a, 0] = 1.0
+    e_lin[:a, 1] = np.arange(a)
+    e_lin[a : a + t, 2] = np.arange(t)
+    e_curv = np.zeros((a + t + k, grid.n_canonical - 3))
+    e_curv[:a, : a - 2] = curvature_basis(a)
+    e_curv[a : a + t, a - 2 : a + t - 4] = curvature_basis(t)
+    e_curv[a + t :, a + t - 4 :] = curvature_basis(k)
+    x_lin = e_lin[effect_rows].sum(axis=1)  # integer entries: the sums are exact
+    x_curv = e_curv[effect_rows].sum(axis=1)
 
     b_rows = np.array([_vec_index(ci, cj, a) for (ci, cj) in cells])
     b = x_lin[b_rows]
@@ -324,12 +351,15 @@ def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
     m_lin[b_rows] = np.eye(3)
     m_curv[b_rows] = 0.0
     matrix = np.concatenate([m_lin, m_curv], axis=1)
+    f_lin = e_lin @ b_inv
+    loadings = np.concatenate([f_lin, e_curv - f_lin @ x_curv[b_rows]], axis=1)
 
     if spec.form == "point-plus-two-slopes":
         # baseline coordinates become (mu1, mu2 - mu1, mu3 - mu1); curvature
         # columns are reused as-is so the two forms share them bit for bit
         slope_map = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
         matrix = np.concatenate([matrix[:, :3] @ slope_map, m_curv], axis=1)
+        loadings[:, :3] = loadings[:, :3] @ slope_map
 
     return DesignParts(
         grid=grid,
@@ -339,6 +369,8 @@ def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
         baseline_rows=b_rows,
         b_matrix=b,
         matrix=matrix,
+        loadings=loadings,
+        effect_rows=effect_rows,
     )
 
 

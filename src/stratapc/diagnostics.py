@@ -130,9 +130,11 @@ def hindcast(
         raise ValueError("targets must be rows of (stratum, age_index, period_index)")
     model = fit.model
     grid = model.grid
-    for r, i, j in targets:
-        if not (0 <= r < model.n_strata and 0 <= i < grid.n_age and 0 <= j < grid.n_period):
-            raise IndexError(f"target cell {(r, i, j)} outside the grid")
+    bounds = (model.n_strata, grid.n_age, grid.n_period)
+    outside = np.any((targets < 0) | (targets >= bounds), axis=1)
+    if outside.any():
+        first = tuple(int(x) for x in targets[np.argmax(outside)])
+        raise IndexError(f"target cell {first} outside the grid")
     exposures = np.asarray(exposures, dtype=float)
     if exposures.ndim == 3:
         n_target = exposures[targets[:, 0], targets[:, 1], targets[:, 2]]

@@ -401,12 +401,30 @@ class LatentModel:
         mt_v = v_flat.reshape(self.n_strata, self.grid.n_cells) @ self.parts.matrix
         return np.bincount(self.col_index.ravel(), weights=mt_v.ravel(), minlength=self.free_dim)
 
+    @cached_property
+    def _effect_pairs(self) -> np.ndarray:
+        """Where each cell's weight lands in the stacked (R, d, d) effect
+        Grams U_r = Y' diag(w_r) Y: the 9 (row, column) pairs of its age,
+        period and cohort rows, stratum-major, as flat indices."""
+        rows = self.parts.effect_rows
+        d = self.parts.loadings.shape[0]
+        pairs = (rows[:, :, None] * d + rows[:, None, :]).reshape(rows.shape[0], 9)
+        return (d * d * np.arange(self.n_strata)[:, None, None] + pairs).ravel()
+
     def weighted_gram(self, w_flat: np.ndarray) -> np.ndarray:
         """Per-stratum M' diag(w_r) M over the canonical columns, stacked
-        (R, n_canonical, n_canonical)."""
-        m = self.parts.matrix
-        w = w_flat.reshape(self.n_strata, self.grid.n_cells)
-        return m.T @ (w[:, :, None] * m)
+        (R, n_canonical, n_canonical).
+
+        With the design factored as M = Y F by effect (``DesignParts``), each
+        Gram is F' U_r F, where U_r = Y' diag(w_r) Y over the d = A + T + K
+        effect rows is one scatter of the cells' weights.  That costs
+        O(R (d^2 n + d n^2)) in place of O(R cells n^2), and sums only
+        non-negative weights before the products, so nothing cancels."""
+        f = self.parts.loadings
+        d = f.shape[0]
+        weights = np.repeat(w_flat, 9)  # one per pair, in ``_effect_pairs`` order
+        u = np.bincount(self._effect_pairs, weights=weights, minlength=self.n_strata * d * d)
+        return f.T @ (u.reshape(self.n_strata, d, d) @ f)
 
     def dense_gram(self, grams: np.ndarray) -> np.ndarray:
         """Design' diag(w) Design over the free vector: the stacked
@@ -501,7 +519,7 @@ def assemble_model(
     if prior_config is None:
         prior_config = PriorConfig()
     if baseline_spec is None:
-        baseline_spec = default_baseline_spec(grid, form="point-plus-two-slopes")
+        baseline_spec = default_baseline_spec(grid)
     if baseline_spec.form != "point-plus-two-slopes":
         raise ValueError(
             f"baseline form {baseline_spec.form!r} is not fitted: the baseline prior "

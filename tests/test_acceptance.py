@@ -125,7 +125,8 @@ def test_criterion_2_design_matrix():
                     np.max(np.abs(m @ xi.vector - flatten_surface(log_rates(eff, grid))))
                 )
                 worst_recon = max(worst_recon, err)
-    m_app = build_design_matrix(GridSpec(17, 18))
+    app = GridSpec(17, 18)
+    m_app = build_design_matrix(app, default_baseline_spec(app, form="three-points"))
     shape_ok = m_app.shape == (306, 66)
     elapsed = time.time() - start
     ok = all_full_rank and worst_recon < 1e-10 and shape_ok and elapsed < 30.0

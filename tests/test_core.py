@@ -189,7 +189,7 @@ class TestDesignMatrix:
 
     def test_middle_cell_selects_first_coordinate(self):
         g = GridSpec(5, 5)
-        spec = default_baseline_spec(g)  # middle age-cohort triple, U=3
+        spec = default_baseline_spec(g, form="three-points")  # middle age-cohort triple, U=3
         m = build_design_matrix(g, spec)
         # (i, k) = (U, U) maps to (i, j) = (3, 1): vec row 2 (0-based)
         expected = np.zeros(g.n_canonical)

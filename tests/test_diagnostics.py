@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ class TestHindcast:
         ds, fit = m4_fit
         with pytest.raises(IndexError):
             hindcast(fit, np.array([[0, 99, 0]]), ds.exposures)
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ([[0, 1, 1], [1, -1, 0], [5, 0, 0]], "(1, -1, 0)"),
+            ([[0, 1, 1], [0, 0, 6]], "(0, 0, 6)"),
+            ([[3, 0, 0], [0, 0, 0]], "(3, 0, 0)"),
+            ([[0, 5, 0]], "(0, 5, 0)"),
+        ],
+    )
+    def test_outside_grid_names_first_bad_target(self, m4_fit, bad, first):
+        ds, fit = m4_fit
+        assert (fit.model.n_strata, ds.grid.n_age, ds.grid.n_period) == (3, 5, 6)
+        with pytest.raises(IndexError, match=re.escape(f"target cell {first} outside the grid")):
+            hindcast(fit, np.array(bad), ds.exposures)
 
 
 def effects_pair_shared_age(grid, rng):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from scipy import stats as sstats
 
 from stratapc import inference
-from stratapc.core import GridSpec, default_baseline_spec
+from stratapc.core import BaselineSpec, GridSpec, default_baseline_spec, design_parts
 from stratapc.covariance import (
     AdjacencyGraph,
     CrossStrataStructure,
@@ -93,6 +93,17 @@ class TestAssembly:
         with pytest.raises(ValueError, match="three-points"):
             assemble_model(GridSpec(5, 5), 3, "M4", "independent", baseline_spec=spec)
 
+    def test_baseline_spec_default_form_fits(self, rng):
+        grid = GridSpec(5, 5)
+        ds, _ = toy_dataset(rng, grid, n_strata=2, pattern="M4")
+        spec = BaselineSpec("age-cohort", ((3, 3), (4, 3), (3, 4)))
+        model = assemble_model(grid, 2, "M4", "independent", baseline_spec=spec)
+        fit = fit_model(model, ds, n_samples=50, seed=1, budget=300)
+        assert fit.converged
+        assert model.baseline_spec.form == "point-plus-two-slopes"
+        assert np.isfinite(fit.log_marginal)
+        assert np.all(np.isfinite(fit.samples))
+
     def test_bym2_graph_size_mismatch(self):
         graph = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
         structure = CrossStrataStructure(kind="bym2", graph=graph)
@@ -114,6 +125,65 @@ class TestAssembly:
         assert np.array_equal(model.col_index[0][3:5], model.col_index[1][3:5])
         # period and cohort columns differ
         assert not np.array_equal(model.col_index[0][5:], model.col_index[1][5:])
+
+
+# a skewed triple: B has determinant 3, so B^-1 is not exact in binary
+SKEWED = BaselineSpec("age-period", ((1, 1), (3, 2), (2, 3)))
+
+
+class TestWeightedGram:
+    """``weighted_gram`` builds each stratum's Gram as F' U_r F from the
+    design's factorization M = Y F by effect."""
+
+    @pytest.mark.parametrize("shape", [(17, 18), (5, 7), (6, 5), (4, 9), (3, 3)])
+    @pytest.mark.parametrize("form", ["three-points", "point-plus-two-slopes"])
+    def test_loadings_reproduce_the_design(self, shape, form):
+        grid = GridSpec(*shape)
+        parts = design_parts(grid, default_baseline_spec(grid, form=form))
+        d = grid.n_age + grid.n_period + grid.n_cohort
+        assert parts.loadings.shape == (d, grid.n_canonical)
+        i, j = np.meshgrid(np.arange(grid.n_age), np.arange(grid.n_period))  # vec order
+        k = grid.n_age - 1 - i + j
+        rows = np.column_stack([i.ravel(), grid.n_age + j.ravel(), grid.n_age + grid.n_period + k.ravel()])
+        assert np.array_equal(parts.effect_rows, rows)
+        y = np.zeros((grid.n_cells, d))
+        np.put_along_axis(y, parts.effect_rows, 1.0, axis=1)
+        assert np.array_equal(y @ parts.loadings, parts.matrix)
+
+    def test_skewed_triple_loadings_match_to_rounding(self):
+        grid = GridSpec(6, 5)
+        parts = design_parts(grid, SKEWED)
+        yf = parts.loadings[parts.effect_rows].sum(axis=1)
+        assert np.max(np.abs(yf - parts.matrix)) <= 1e-13 * np.max(np.abs(parts.matrix))
+
+    @pytest.mark.parametrize("n_strata", [1, 3, 25])
+    @pytest.mark.parametrize("shape", [(17, 18), (5, 7), (6, 5)])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_matches_the_direct_product(self, shape, n_strata, skewed, rng):
+        grid = GridSpec(*shape)
+        spec = SKEWED if skewed else None
+        model = assemble_model(grid, n_strata, "M6", "independent", baseline_spec=spec)
+        if not skewed:  # odd ages anchor on an age-cohort triple, even on age-period
+            assert model.baseline_spec.coordinates == ("age-cohort" if shape[0] % 2 else "age-period")
+        m = model.parts.matrix
+        w = np.exp(rng.uniform(0.0, 12.0, (n_strata, grid.n_cells)))
+        w[rng.random(w.shape) < 0.2] = 0.0  # unobserved cells
+        w[:, :2] = 1.0, np.exp(12.0)
+        grams = model.weighted_gram(w.ravel())
+        assert grams.shape == (n_strata, grid.n_canonical, grid.n_canonical)
+        for r in range(n_strata):
+            direct = m.T @ (w[r, :, None] * m)
+            err = np.max(np.abs(grams[r] - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-13, (r, err)
+
+    def test_unobserved_stratum_gives_a_zero_gram(self, rng):
+        grid = GridSpec(5, 7)
+        model = assemble_model(grid, 3, "M6", "independent")
+        w = np.exp(rng.uniform(0.0, 12.0, (3, grid.n_cells)))
+        w[1] = 0.0
+        grams = model.weighted_gram(w.ravel())
+        assert not np.any(grams[1])
+        assert np.all(np.diag(grams[0]) > 0) and np.all(np.diag(grams[2]) > 0)
 
 
 class TestFlatten:
