@@ -1,4 +1,4 @@
-"""Hot numeric kernels in plain numpy, and the posterior readers' thread pool.
+"""Hot numeric kernels in plain numpy, and the posterior readers' thread map.
 
 These sit at the bottom of every likelihood evaluation, posterior scoring
 pass, and calibration scan.  ``perfbench/`` times them in place, inside the
@@ -8,9 +8,9 @@ The posterior readers (pointwise scoring, WAIC, hindcasting, PIT and the
 percentiles) stream their (n_samples, cells) inputs through ``blocks``:
 each temporary holds about ``BLOCK`` elements, never a whole
 (n_samples, cells) matrix.  All but the PIT counts hand their strata or
-column blocks to ``parallel_map``, which runs them on one Python thread
-per core, at most ``MAX_READER_THREADS``, so that the memory in flight does
-not grow with the core count; numpy releases the GIL in the element-wise
+column blocks to ``parallel_map``, which runs them on a thread pool made
+per call, one Python thread per core up to ``MAX_READER_THREADS``, and
+joins it before it returns; numpy releases the GIL in the element-wise
 functions, the sorts, the Poisson draws and the (single-threaded, see
 ``_threads``) BLAS calls.  Each task writes its own slice of the output
 with the operations a serial loop would run, so the thread count changes
@@ -20,7 +20,6 @@ no bit of any result.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,15 +41,7 @@ def blocks(length: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-# The readers' pool: made on first use and owned by the process that made
-# it.  A child forked from a process holding a pool inherits the object but
-# none of its threads, so it makes its own.
-_pool: ThreadPoolExecutor | None = None
-_pool_pid: int | None = None  # the process that made _pool
-_pool_lock = threading.Lock()
-_task = threading.local()  # .active is true on a pool thread running a task
-
-# Most threads a pool runs: each task holds about BLOCK elements of
+# Most threads a map runs on: each task holds about BLOCK elements of
 # temporaries (a hindcast task, one stratum's draws), so the cap keeps the
 # readers' memory in flight from growing with the core count.
 MAX_READER_THREADS = 4
@@ -69,46 +60,21 @@ def reader_threads() -> int:
     return min(cores(), MAX_READER_THREADS)
 
 
-def _reader_pool() -> ThreadPoolExecutor:
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(reader_threads(), thread_name_prefix="stratapc-reader")
-            _pool_pid = os.getpid()
-        return _pool
-
-
-def stop_reader_pool() -> None:
-    """Join this process's reader threads; the next map makes a new pool.
-    ``fit_grid`` calls it before it forks worker processes, so that they
-    are forked from a process running one thread."""
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool is not None and _pool_pid == os.getpid():
-            _pool.shutdown()
-        _pool = _pool_pid = None
-
-
-def _run_task(fn, item):
-    _task.active = True
-    try:
-        return fn(item)
-    finally:
-        _task.active = False
-
-
 def parallel_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on the process's reader pool.
+    """``[fn(item) for item in items]``, run on a pool of
+    ``min(len(items), reader_threads())`` threads that the call makes and
+    joins before it returns or raises.
 
-    The map runs serially on the calling thread when it has one item, when
-    ``reader_threads()`` is 1, and when it is called from inside a pool
-    task: a task that waits on tasks queued behind it in a full pool would
-    never finish.  Tasks must not call the layers that ``perfbench`` traces
-    (its span stack belongs to the calling thread)."""
+    The map runs serially on the calling thread when that count is 0 or
+    1.  A map called from a task gets a pool of its own.  Tasks must not
+    call the layers that ``perfbench`` traces (its span stack belongs to
+    the calling thread)."""
     items = list(items)
-    if len(items) <= 1 or reader_threads() <= 1 or getattr(_task, "active", False):
+    threads = min(len(items), reader_threads())
+    if threads <= 1:
         return [fn(item) for item in items]
-    return list(_reader_pool().map(_run_task, [fn] * len(items), items))
+    with ThreadPoolExecutor(threads, thread_name_prefix="stratapc-reader") as pool:
+        return list(pool.map(fn, items))
 
 
 def percentiles(a, q):

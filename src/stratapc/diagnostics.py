@@ -112,7 +112,7 @@ def hindcast(
 ) -> HindcastResult:
     """Draw counts Poisson(N exp(mu)) per posterior log-rate sample at the
     target cells (which may be unobserved; the latent model defines their
-    rates).  Exposures are required input.
+    rates).  Exposures are required: an (R, A, T) array or one per target.
 
     Each stratum holding targets is one ``_kernels.parallel_map`` task with
     its own Poisson stream: stratum r draws from
@@ -137,6 +137,10 @@ def hindcast(
         raise IndexError(f"target cell {first} outside the grid")
     exposures = np.asarray(exposures, dtype=float)
     if exposures.ndim == 3:
+        if exposures.shape != bounds:
+            raise ValueError(
+                f"exposures must have shape (R, A, T) = {bounds}, got {exposures.shape}"
+            )
         n_target = exposures[targets[:, 0], targets[:, 1], targets[:, 2]]
     else:
         n_target = exposures.ravel()

@@ -18,18 +18,12 @@ def rng():
 
 @pytest.fixture
 def reader_threads(monkeypatch):
-    """``reader_threads(k)`` runs the posterior readers on a pool of their
-    own with k threads (at most ``_kernels.MAX_READER_THREADS``; serially
-    for k = 1), as on a k-core machine.  The process's own pool is back in
-    place after the test."""
+    """``reader_threads(k)`` runs each posterior reader map on k threads (at
+    most ``_kernels.MAX_READER_THREADS``; serially for k = 1), as on a
+    k-core machine, until the test ends."""
     from stratapc import _kernels
 
-    monkeypatch.setattr(_kernels, "_pool", None)
-    monkeypatch.setattr(_kernels, "_pool_pid", None)
-
     def use(k):
-        _kernels.stop_reader_pool()
         monkeypatch.setattr(_kernels, "cores", lambda: k)
 
-    yield use
-    _kernels.stop_reader_pool()
+    return use

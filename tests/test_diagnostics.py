@@ -119,6 +119,13 @@ class TestHindcast:
         with pytest.raises(IndexError, match=re.escape(f"target cell {first} outside the grid")):
             hindcast(fit, np.array(bad), ds.exposures)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (4, 5, 6), (3, 6, 6), (6, 5, 3)])
+    def test_exposure_cube_of_another_shape(self, m4_fit, shape):
+        # every such cube covers the target, so only the shape check catches it
+        _, fit = m4_fit
+        with pytest.raises(ValueError, match=re.escape(f"(3, 5, 6), got {shape}")):
+            hindcast(fit, np.array([[0, 1, 2]]), np.full(shape, 1e4))
+
 
 def effects_pair_shared_age(grid, rng):
     """Two strata with a common age vector (and its trend), distinct period

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import stratapc
 from stratapc import _kernels, _threads
 from stratapc.core import GridSpec
 from stratapc.data import simulate_dataset
@@ -141,8 +144,8 @@ class TestParallelMap:
         assert _kernels.parallel_map(lambda i: i * i, range(9)) == [i * i for i in range(9)]
 
     def test_nested_map_finishes(self):
-        # every pool thread runs an outer task that maps again: queued into
-        # the same full pool, the inner tasks would never start
+        # every outer task maps again: queued into one shared, full pool the
+        # inner tasks would never start, so each map needs a pool of its own
         out = []
 
         def outer(i):
@@ -159,8 +162,8 @@ class TestParallelMap:
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
-    def test_forked_child_makes_its_own_pool(self):
-        _kernels.parallel_map(abs, range(-3, 3))  # the parent's pool is running
+    def test_map_in_a_forked_child_finishes(self):
+        _kernels.parallel_map(abs, range(-3, 3))
 
         def child():
             sys.exit(0 if _kernels.parallel_map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2] else 1)
@@ -179,12 +182,27 @@ class TestParallelMap:
         names = _kernels.parallel_map(lambda _: threading.current_thread().name, range(64))
         assert len(set(names)) <= _kernels.MAX_READER_THREADS
 
-    def test_stopped_pool_joins_its_threads_and_comes_back(self):
+    def test_no_reader_thread_outlives_the_map(self):
         workers = _kernels.parallel_map(lambda _: threading.current_thread(), range(4))
-        _kernels.stop_reader_pool()
-        assert not [t for t in workers if t.is_alive()]
-        assert _kernels.parallel_map(abs, range(-2, 2)) == [2, 1, 0, 1]
-        assert _kernels._pool_pid == os.getpid()
+        assert all(t.name.startswith("stratapc-reader") for t in workers)
+        assert not [t for t in threading.enumerate() if t.name.startswith("stratapc-reader")]
+
+    def test_error_propagates_after_the_other_tasks_finish(self):
+        started, finished = threading.Event(), threading.Event()
+
+        def task(i):
+            if i == 0:
+                # raise while task 1 runs, not before a thread has taken it
+                started.wait(timeout=10)
+                raise RuntimeError("task 0")
+            started.set()
+            time.sleep(0.3)
+            finished.set()
+
+        with pytest.raises(RuntimeError, match="task 0"):
+            _kernels.parallel_map(task, range(2))
+        assert finished.is_set()
+        assert not [t for t in threading.enumerate() if t.name.startswith("stratapc-reader")]
 
 
 class TestOverflow:
@@ -234,7 +252,8 @@ _PRINT_THREADS = (
 
 def _run(code, blas_threads=None):
     """Run ``code`` in a fresh interpreter with no BLAS thread variables
-    set, except ``STRATAPC_BLAS_THREADS`` when given; return its last
+    set, except ``STRATAPC_BLAS_THREADS`` when given, and the directory
+    holding the package under test first on its path; return its last
     output line parsed as JSON."""
     env = {
         k: v
@@ -242,6 +261,9 @@ def _run(code, blas_threads=None):
         if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "STRATAPC_BLAS_THREADS")
     }
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(stratapc.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
     if blas_threads is not None:
         env["STRATAPC_BLAS_THREADS"] = str(blas_threads)
     out = subprocess.run(

@@ -14,6 +14,7 @@ temporaries.
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,15 +262,18 @@ def test_thread_count_changes_no_bit(small_blocks, dataset, reader_threads, monk
     serial = reader_outputs(dataset)
 
     pool_threads = set()
-    run_task = _kernels._run_task
 
-    def spy(fn, item):
-        pool_threads.add(threading.current_thread().name)
-        return run_task(fn, item)
+    class Spy(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def task(*a, **kw):
+                pool_threads.add(threading.current_thread().name)
+                return fn(*a, **kw)
+
+            return super().submit(task, *args, **kwargs)
 
     # more threads than cores, switching often: a task writing outside its
     # own slice, or sharing a generator, would show as changed bits
-    monkeypatch.setattr(_kernels, "_run_task", spy)
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", Spy)
     reader_threads(3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -315,7 +319,7 @@ def test_hindcast_peak_is_near_its_output():
 
 
 def test_memory_guards_hold_on_many_cores(reader_threads, rng):
-    # the pool's thread cap keeps the memory the readers hold at once from
+    # the map's thread cap keeps the memory the readers hold at once from
     # growing with the core count
     reader_threads(64)
     assert _kernels.reader_threads() == _kernels.MAX_READER_THREADS
