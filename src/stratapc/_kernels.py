@@ -7,14 +7,22 @@ likelihood, pointwise-scoring and PIT layers of its end-to-end workloads.
 The posterior readers (pointwise scoring, WAIC, hindcasting, PIT and the
 percentiles) stream their (n_samples, cells) inputs through ``blocks``:
 each temporary holds about ``BLOCK`` elements, never a whole
-(n_samples, cells) matrix.  All but the PIT counts hand their strata or
-column blocks to ``parallel_map``, which runs them on a thread pool made
-per call, one Python thread per core up to ``MAX_READER_THREADS``, and
-joins it before it returns; numpy releases the GIL in the element-wise
-functions, the sorts, the Poisson draws and the (single-threaded, see
+(n_samples, cells) matrix.  They hand their strata or column blocks to
+``parallel_map``, which runs them on a thread pool made per call, one
+Python thread per core up to ``MAX_READER_THREADS``, and joins it before
+it returns; numpy releases the GIL in the element-wise functions, the
+reductions, the sorts, the Poisson draws and the (single-threaded, see
 ``_threads``) BLAS calls.  Each task writes its own slice of the output
 with the operations a serial loop would run, so the thread count changes
 no bit of any result.
+
+Layout: the (n_samples, cells) matrices that ``pointwise_loglik`` and
+``hindcast`` return are column-major (Fortran order).  Every reader of
+them reduces per cell, down a column, so a block of columns is one
+contiguous chunk of memory: WAIC reads its blocks in place, ``percentiles``
+copies a block with one contiguous copy, and the PIT counts read columns
+without a stride.  The readers accept row-major input too and give the
+same values, at the cost of a gather per block.
 """
 
 from __future__ import annotations
@@ -80,10 +88,12 @@ def parallel_map(fn, items) -> list:
 def percentiles(a, q):
     """``np.percentile(a, q, axis=0)`` of a float (n, m) matrix for a
     sequence ``q`` of percentiles in [0, 100], (len(q), m), equal to it
-    element for element, with one sort per column block.
+    element for element, with one sort per column block; a percentile
+    outside [0, 100] raises numpy's ``ValueError``.
 
-    Each block of columns is copied transposed, so that a column is one
-    contiguous row, and sorted in place.  The interpolation is numpy's
+    Each block of columns is copied so that a column is one contiguous row
+    (one contiguous copy of a column-major ``a``, a transposed gather of a
+    row-major one) and sorted in place.  The interpolation is numpy's
     default (linear) method step by step: virtual index (n - 1) q / 100,
     the rows at its floor and floor + 1 (the last row at most), and
     numpy's ``_lerp``, which counts back from the upper value when the
@@ -94,6 +104,8 @@ def percentiles(a, q):
     The column blocks are ``parallel_map`` tasks."""
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not (np.all(q >= 0) and np.all(q <= 100)):
+        raise ValueError("Percentiles must be in the range [0, 100]")
     n, m = a.shape
     virtual = (n - 1) * (q / 100)
     lo = np.floor(virtual).astype(np.intp)
@@ -103,7 +115,7 @@ def percentiles(a, q):
     out = np.empty((virtual.size, m))
 
     def column_block(cols):
-        block = np.ascontiguousarray(a[:, cols].T)
+        block = a[:, cols].T.copy(order="C")
         block.sort(axis=1)
         if np.isnan(block[:, -1]).any():
             out[:, cols] = np.percentile(a[:, cols], q, axis=0)
@@ -117,6 +129,29 @@ def percentiles(a, q):
     return out
 
 
+def logsumexp_columns(a):
+    """``scipy.special.logsumexp(a, axis=0)`` of a finite float (n, m)
+    matrix, (m,), equal to SciPy 1.17's result bit for bit.
+
+    It runs SciPy's real-input formula with none of its complex, weighted
+    or non-finite branches: with ``top`` the column maximum and ``ties``
+    the count of entries equal to it, every tied entry is left out of
+    s = sum exp(a - top), and the result is
+    log1p(s / ties) + log(ties) + top.  The shifted exponentials keep the
+    layout of ``a``, so a column-major block sums each column as one
+    contiguous (pairwise) reduction, as SciPy does on the same block."""
+    a = np.asarray(a, dtype=float)
+    top = a.max(axis=0)
+    tied = a == top
+    ties = np.count_nonzero(tied, axis=0).astype(float)
+    terms = np.subtract(a, top)
+    np.copyto(terms, -np.inf, where=tied)
+    np.exp(terms, out=terms)
+    s = terms.sum(axis=0)
+    s /= ties
+    return np.log1p(s) + np.log(ties) + top
+
+
 def poisson_ll_grad_w(mu, y, exposure, observed):
     """Core Poisson terms over flat cells: sum of y*mu - N*exp(mu) on the
     observed cells, plus per-cell gradient (y - N e^mu) and weight N e^mu
@@ -128,31 +163,33 @@ def poisson_ll_grad_w(mu, y, exposure, observed):
     return ll, grad, w
 
 
-def pointwise_poisson_ll(logrates, y, exposure, const, out):
+def pointwise_poisson_ll(logrates, y, exposure, const):
     """Per-sample per-cell Poisson log pmf: ll[s, c] = y_c * mu_sc
-    - N_c exp(mu_sc) + const_c for observed-cell arrays, written into
-    ``out``."""
+    - N_c exp(mu_sc) + const_c for observed-cell arrays, written over
+    ``logrates`` (a temporary of the caller's) and returned."""
     rate = np.exp(logrates)
     rate *= exposure
-    out = np.multiply(logrates, y, out=out)
-    out -= rate
-    out += const
-    return out
+    ll = np.multiply(logrates, y, out=logrates)
+    ll -= rate
+    ll += const
+    return ll
 
 
 def pit_mean_cdf(count_samples, y):
     """Nonrandomized count PIT 0.5 * (F(y) + F(y-1)) from predictive draws,
     with F the empirical CDF per cell (columns) and F(-1) = 0.  The counts
-    of draws at or below y and y - 1 accumulate over row blocks; they are
-    exact integers, so the blocking does not change the result.  The loop
-    stays on the calling thread: it reads the draws twice and does little
-    else, and on two cores neither column-block nor row-range tasks ran
-    faster than it."""
+    of draws at or below y and y - 1 are taken over column blocks, one
+    ``parallel_map`` task each, which read a column-major matrix
+    contiguously; they are exact integers, so neither the blocking nor the
+    layout changes the result."""
     n, cells = count_samples.shape
-    at = np.zeros(cells, dtype=np.intp)
-    below = np.zeros(cells, dtype=np.intp)
-    for rows in blocks(n, cells):
-        draws = count_samples[rows]
-        at += np.count_nonzero(draws <= y, axis=0)
-        below += np.count_nonzero(draws <= y - 1, axis=0)
-    return 0.5 * (at / n + below / n)
+    values = np.empty(cells)
+
+    def column_block(cols):
+        draws, y_block = count_samples[:, cols], y[cols]
+        at = np.count_nonzero(draws <= y_block, axis=0)
+        below = np.count_nonzero(draws <= y_block - 1, axis=0)
+        values[cols] = 0.5 * (at / n + below / n)
+
+    parallel_map(column_block, blocks(cells, n))
+    return values

@@ -42,9 +42,10 @@ def pit(count_samples: np.ndarray, observed: np.ndarray) -> PITResult:
 
     Needs at least MIN_PIT_SAMPLES predictive samples per cell.  The plotted density is a
     Gaussian kernel estimate with Silverman's bandwidth, reflected at 0 and 1.
-    The CDF counts run over row blocks of the draws and the density over
+    The CDF counts run over column blocks of the draws and the density over
     blocks of grid points (``_kernels.blocks``), so neither holds a
-    whole-matrix temporary.
+    whole-matrix temporary; column-major draws (``hindcast``'s) are read
+    without a stride.
     """
     samples = np.asarray(count_samples, dtype=float)
     y = np.asarray(observed, dtype=float).ravel()
@@ -77,9 +78,12 @@ def _reflected_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     # reflect mass escaping past 0 and 1 back into the unit interval
     points = np.concatenate([values, -values, 2.0 - values])
     kernel_sums = np.empty(grid.shape[0])
-    for rows in _kernels.blocks(grid.shape[0], points.shape[0]):
+
+    def grid_block(rows):
         z = (grid[rows, None] - points[None, :]) / bw
         kernel_sums[rows] = np.exp(-0.5 * z**2).sum(axis=1)
+
+    _kernels.parallel_map(grid_block, _kernels.blocks(grid.shape[0], points.shape[0]))
     return kernel_sums / (n * bw * np.sqrt(2.0 * np.pi))
 
 
@@ -95,10 +99,11 @@ def ks_distance_from_uniform(values: np.ndarray) -> float:
 @dataclass(frozen=True)
 class HindcastResult:
     """Posterior-predictive count draws for target cells, with medians and
-    central 95% intervals."""
+    central 95% intervals.  ``samples`` is column-major (Fortran order):
+    each target's draws are contiguous."""
 
     targets: np.ndarray       # (n_targets, 3) of (stratum, age, period), 0-based
-    samples: np.ndarray       # (n_posterior_samples, n_targets)
+    samples: np.ndarray       # (n_posterior_samples, n_targets), Fortran order
     median: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -151,7 +156,7 @@ def hindcast(
 
     n, n_targets = fit.n_samples, targets.shape[0]
     cell = targets[:, 2] * grid.n_age + targets[:, 1]
-    samples = np.empty((n, n_targets))
+    samples = np.empty((n, n_targets), order="F")
     streams = np.random.SeedSequence(seed).spawn(model.n_strata)
 
     def stratum(r):

@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import _kernels
 from .core import (
@@ -493,7 +492,8 @@ class LatentModel:
                 use = rows[likelihood.observed[rows]]
                 ysum = float(likelihood.y[use].sum())
                 if ysum > 0:  # observed exposures are positive
-                    level = np.log(ysum) - logsumexp(np.log(likelihood.exposure[use]))
+                    log_n = np.log(likelihood.exposure[use])
+                    level = np.log(ysum) - _kernels.logsumexp_columns(log_n[:, None])[0]
                     start = np.array([float(level), 0.0, 0.0])
             xi[offset + k * length : offset + (k + 1) * length] = start
         return xi
@@ -949,6 +949,8 @@ def optimize_hyperparameters(
     search.  Deterministic given the initial point; the search makes at most
     ``budget`` Laplace evaluations, and exhausting it returns the best point
     with a warning flag."""
+    from scipy.optimize import minimize  # importing scipy.optimize costs ~0.1 s
+
     likelihood = as_likelihood(data)
     space = model.prior_model
     x0 = space.to_vector(init if init is not None else space.default())

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize as sopt
 from scipy.special import ndtri, stdtrit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -216,13 +215,15 @@ class PCPriorBYM2:
         return float(1.0 - np.exp(-self._rate * self.distance(rho)))
 
     def sample(self, rng: np.random.Generator) -> float:
+        from scipy.optimize import brentq  # importing scipy.optimize costs ~0.1 s
+
         lo, hi = 1e-12, 1.0 - 1e-9
         d = rng.exponential(scale=1.0 / self._rate)
         if d <= self.distance(lo):
             return lo
         if d >= self.distance(hi):
             return hi
-        return float(sopt.brentq(lambda r: self.distance(r) - d, lo, hi, xtol=1e-12))
+        return float(brentq(lambda r: self.distance(r) - d, lo, hi, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import logsumexp
 
 from . import _kernels
 from .covariance import STRUCTURES, AdjacencyGraph, CrossStrataStructure
@@ -56,9 +55,11 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     reported.
 
     Both terms are per cell, so they are computed over column blocks, one
-    ``_kernels.parallel_map`` task each; each block is copied to Fortran
-    order so that every cell reduces over one contiguous column and its
-    terms do not depend on the block width or the thread count.
+    ``_kernels.parallel_map`` task each, with ``_kernels.logsumexp_columns``.
+    Every cell reduces over one contiguous column, so its terms depend on
+    neither the block width nor the thread count: a block of the
+    column-major matrix that ``pointwise_loglik`` returns is read in place,
+    and only a row-major input is copied, block by block, to Fortran order.
     """
     ll = np.asarray(loglik_samples, dtype=float)
     if ll.ndim != 2 or ll.shape[0] < 2:
@@ -74,7 +75,7 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
         finite[cols] = keep
         if not keep.all():
             block = block[:, keep]
-        lse[cols][keep] = logsumexp(block, axis=0)
+        lse[cols][keep] = _kernels.logsumexp_columns(block)
         var[cols][keep] = np.var(block, axis=0, ddof=1)
 
     _kernels.parallel_map(column_block, _kernels.blocks(cells, n))
@@ -93,19 +94,21 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
 
 def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
     """Per-posterior-sample, per-observed-cell Poisson log likelihoods,
-    (n_samples, n_observed) in the model's cell order.
+    (n_samples, n_observed) in the model's cell order, column-major
+    (Fortran order), so that each cell's samples are contiguous for the
+    per-cell readers (``waic``).
 
     The draws are mapped to log rates one stratum at a time, one
-    ``_kernels.parallel_map`` task each, and the kernel writes each
-    stratum's observed cells straight into the output, so no
-    (n_samples, R * cells) log-rate matrix is built; a stratum with every
-    cell observed is read without a copy.
+    ``_kernels.parallel_map`` task each; the kernel turns the stratum's
+    observed log rates into log likelihoods in place, and one copy moves
+    them into the stratum's contiguous chunk of the output, so no
+    (n_samples, R * cells) log-rate matrix is built.
     """
     model = fit.model
     lik = PoissonLikelihood(data)
     y = lik.y[lik.observed]
     exposure = lik.exposure[lik.observed]
-    out = np.empty((fit.n_samples, y.shape[0]))
+    out = np.empty((fit.n_samples, y.shape[0]), order="F")
     keeps = lik.observed.reshape(model.n_strata, -1)
     bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(keeps, axis=1))))
 
@@ -113,12 +116,11 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
         keep = keeps[r]
         cols = slice(bounds[r], bounds[r + 1])
         logrates = model.stratum_logrates(fit.samples, r)
-        _kernels.pointwise_poisson_ll(
+        out[:, cols] = _kernels.pointwise_poisson_ll(
             logrates if keep.all() else logrates[:, keep],
             y[cols],
             exposure[cols],
             lik.cell_constants[cols],
-            out=out[:, cols],
         )
 
     _kernels.parallel_map(stratum, range(model.n_strata))

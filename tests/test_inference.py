@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import stats as sstats
+from scipy.special import logsumexp
 
 from stratapc import inference
 from stratapc.core import BaselineSpec, GridSpec, default_baseline_spec, design_parts
@@ -129,6 +130,24 @@ class TestAssembly:
 
 # a skewed triple: B has determinant 3, so B^-1 is not exact in binary
 SKEWED = BaselineSpec("age-period", ((1, 1), (3, 2), (2, 3)))
+
+
+class TestDefaultInit:
+    @pytest.mark.parametrize("pattern", ["M5", "M6"])  # shared baseline, one per stratum
+    def test_crude_rate_is_scipys_logsumexp(self, pattern, rng):
+        # the crude rate log(sum y) - logsumexp(log N) over each baseline
+        # group's observed cells, with the bits of scipy's logsumexp
+        ds, _ = toy_dataset(rng, n_strata=3, exposure=1e4)
+        model = assemble_model(ds.grid, 3, pattern, "independent")
+        lik = PoissonLikelihood(ds)
+        offset, length, shared = model.blocks["baseline"]
+        groups = [range(3)] if shared else [[r] for r in range(3)]
+        xi = model.default_init(lik)
+        for k, strata in enumerate(groups):
+            rows = np.concatenate([r * ds.grid.n_cells + model.parts.baseline_rows for r in strata])
+            use = rows[lik.observed[rows]]
+            level = np.log(lik.y[use].sum()) - logsumexp(np.log(lik.exposure[use]))
+            assert xi[offset + k * length] == level
 
 
 class TestWeightedGram:

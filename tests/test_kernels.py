@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import poisson
 
 import stratapc
@@ -133,6 +134,44 @@ class TestPercentiles:
         got = _kernels.percentiles(a, self.Q)
         assert np.isnan(got[:, 3]).all()
         assert np.array_equal(got, np.percentile(a, self.Q, axis=0), equal_nan=True)
+
+    @pytest.mark.parametrize("q", [[-10.0], [50.0, 100.5], [np.nan]])
+    def test_percentile_outside_0_100_raises_like_numpy(self, q):
+        a = np.arange(19.0)[:, None]  # q = -10 used to wrap to a row from the end
+        with pytest.raises(ValueError, match=r"Percentiles must be in the range \[0, 100\]"):
+            np.percentile(a, q, axis=0)
+        with pytest.raises(ValueError, match=r"Percentiles must be in the range \[0, 100\]"):
+            _kernels.percentiles(a, q)
+
+
+class TestLogsumexpColumns:
+    """``_kernels.logsumexp_columns`` against ``scipy.special.logsumexp``
+    over axis 0, to the bit, on either memory layout."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_scipy(self, order, rng):
+        a = rng.normal(-3.0, 2.0, size=(500, 7))
+        a[[3, 77], 0] = 9.0  # two tied maxima
+        a[:, 1] = -1.25  # every entry tied
+        a[:, 2] = 700.0 - rng.exponential(1.0, size=500)  # unshifted exp overflows
+        a[:, 3] = -700.0 - rng.exponential(1.0, size=500)  # unshifted exp underflows
+        a[:, 4] = np.round(a[:, 4])  # ties below the maximum
+        a[[0, 9, 400], 5] = a[:, 5].max() + 1.0  # three tied maxima
+        a = np.asarray(a, order=order)
+        assert np.array_equal(_kernels.logsumexp_columns(a), logsumexp(a, axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_row_is_the_row(self, order, rng):
+        a = np.asarray(rng.normal(size=(1, 6)), order=order)
+        got = _kernels.logsumexp_columns(a)
+        assert np.array_equal(got, logsumexp(a, axis=0))
+        assert np.array_equal(got, a[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 129, 3000])
+    def test_one_column_equals_scipy_on_the_vector(self, n, rng):
+        # default_init's crude rate: a log-sum-exp of one vector
+        x = np.log(rng.uniform(1.0, 1e6, size=n))
+        assert _kernels.logsumexp_columns(x[:, None])[0] == logsumexp(x)
 
 
 class TestParallelMap:
@@ -327,5 +366,19 @@ class TestEnvFlag:
 def test_import_leaves_scipy_stats_out(module):
     # a fresh interpreter: the test process itself imports scipy.stats
     loaded = _run(f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))\n")
-    assert module in loaded and "scipy.special" in loaded and "scipy.optimize" in loaded
+    assert module in loaded and "scipy.special" in loaded
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_benchmark_imports_leave_scipy_optimize_out():
+    # the modules perfbench/workload.py imports: no workload's set-up
+    # searches or samples a PC prior, so none should pay for scipy.optimize
+    loaded = _run(
+        "import json, sys, numpy, scipy, scipy.linalg\n"
+        "from stratapc import _kernels, data, diagnostics, inference, selection\n"
+        "from stratapc.core import GridSpec\n"
+        "from stratapc.covariance import AdjacencyGraph, CrossStrataStructure\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "stratapc.selection" in loaded and "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]

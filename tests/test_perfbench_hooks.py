@@ -1,6 +1,8 @@
 """The benchmark's tracer patches package internals by name; installing and
 removing it must work against the current source."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import scipy.linalg
@@ -56,3 +58,13 @@ def test_traced_fit_records_the_hessian_layers(monkeypatch):
         assert counts.get(layer, 0) >= 1, layer
     summary = tracer.summary(1, 1.0)
     assert summary["inference.cholesky.gflop_computed"] > 0
+
+
+def test_selftest_passes():
+    # every workload at its tiny size, untraced and traced; writes only
+    # under perfbench/out/
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--selftest"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -202,6 +202,20 @@ def test_pit_matches_whole_matrix(small_blocks, rng):
     assert np.array_equal(_reflected_kde(values, result.density_grid), result.density)
 
 
+def test_pointwise_and_hindcast_are_column_major(fit, dataset):
+    assert pointwise_loglik(fit, dataset).flags.f_contiguous
+    targets = np.argwhere(np.ones(SHAPE, dtype=bool))[::-1]
+    assert hindcast(fit, targets, dataset.exposures, seed=11).samples.flags.f_contiguous
+
+
+def test_pit_is_the_same_on_either_layout(small_blocks, rng):
+    samples = rng.poisson(8.0, size=(131, 70)).astype(float)
+    y = rng.poisson(8.0, size=70).astype(float)
+    rows, cols = pit(samples, y), pit(np.asfortranarray(samples), y)
+    assert np.array_equal(rows.values, cols.values)
+    assert np.array_equal(rows.density, cols.density)
+
+
 def test_fit_percentiles_match_lograte_cube(fit):
     whole = np.percentile(fit.lograte_cube(), [2.5, 50.0, 97.5], axis=0)
     assert np.array_equal(_lograte_percentiles(fit), whole)
@@ -303,6 +317,20 @@ def test_waic_allocates_a_fraction_of_its_input(rng):
     ll = rng.normal(-3.0, 1.0, size=(2000, 4000))
     _, peak = traced_peak(lambda: waic(ll))
     assert peak < ll.nbytes / 4
+
+
+def test_waic_reads_a_column_major_input_without_copies(reader_threads, rng):
+    # on one thread, so that the peaks compare one block's temporaries: a
+    # row-major input adds a Fortran-order copy of each block, a
+    # column-major one is read in place
+    reader_threads(1)
+    rows = rng.normal(-3.0, 1.0, size=(2000, 4000))
+    cols = np.asfortranarray(rows)
+    by_rows, rows_peak = traced_peak(lambda: waic(rows))
+    by_cols, cols_peak = traced_peak(lambda: waic(cols))
+    assert by_cols.as_tuple() == by_rows.as_tuple()
+    block = cols[:, _kernels.blocks(4000, 2000)[0]]
+    assert rows_peak - cols_peak > 0.9 * block.nbytes
 
 
 def test_hindcast_peak_is_near_its_output():
