@@ -21,7 +21,7 @@ import scipy.linalg as sla
 
 from . import _kernels
 from .config import ConfigError, RunConfig
-from .core import GridSpec
+from .core import GridSpec, unflatten_surface
 from .covariance import DisconnectedGraphError
 from .data import (
     DataFormatError,
@@ -243,7 +243,7 @@ def _lograte_percentiles(fit) -> np.ndarray:
     out = np.empty((3, model.n_strata, g.n_age, g.n_period))
     for r in range(model.n_strata):
         q = _kernels.percentiles(model.stratum_logrates(fit.samples, r), [2.5, 50.0, 97.5])
-        out[:, r] = q.reshape(3, g.n_period, g.n_age).transpose(0, 2, 1)
+        out[:, r] = unflatten_surface(q, g)
     return out
 
 
@@ -385,11 +385,9 @@ def _cmd_prior_check(args) -> int:
     _check_structure(args.structure, fit_config)
     summary = sample_prior_predictive(
         candidate_model(dataset, fit_config, args.pattern, args.structure),
-        dataset.exposures,
+        dataset,
         n_sims=args.sims,
         seed=fit_config.seed,
-        observed=dataset.observed,
-        observed_counts=dataset.counts,
     )
     q = [2.5, 50.0, 97.5]
     write_json(

@@ -274,11 +274,6 @@ def curvature_basis(n: int) -> np.ndarray:
     return np.maximum(t - m - 1, 0).astype(float)
 
 
-def _vec_index(i0: int, j0: int, n_age: int) -> int:
-    """Row index of 0-based cell (i0, j0) in the column-major-by-period vec."""
-    return j0 * n_age + i0
-
-
 @dataclass(frozen=True)
 class DesignParts:
     """Internals of the canonical design: the linear-content columns, the
@@ -341,7 +336,8 @@ def design_parts(grid: GridSpec, spec: BaselineSpec) -> DesignParts:
     x_lin = e_lin[effect_rows].sum(axis=1)  # integer entries: the sums are exact
     x_curv = e_curv[effect_rows].sum(axis=1)
 
-    b_rows = np.array([_vec_index(ci, cj, a) for (ci, cj) in cells])
+    ages, periods = np.array(cells).T
+    b_rows = cell_index(ages, periods, a)
     b = x_lin[b_rows]
 
     b_inv = np.linalg.inv(b)
@@ -424,11 +420,22 @@ def linear_coordinates(
     return out[0] if out.shape[0] == 1 else out
 
 
-def flatten_surface(surface: np.ndarray) -> np.ndarray:
-    """Vectorize an (n_age, n_period) surface column-major by period."""
-    return np.asarray(surface).ravel(order="F")
+def cell_index(ages, periods, n_age: int):
+    """Position of the 0-based cells (ages, periods) in a vectorized
+    surface (see ``flatten_surface``); array-wise."""
+    return np.asarray(periods) * n_age + np.asarray(ages)
+
+
+def flatten_surface(surfaces: np.ndarray) -> np.ndarray:
+    """Vectorize the (n_age, n_period) surfaces on the last two axes,
+    column-major by period: (..., A, T) -> (..., A * T).  The package's one
+    cell order; a stack of strata flattens stratum-major."""
+    surfaces = np.asarray(surfaces)
+    return surfaces.swapaxes(-1, -2).reshape(*surfaces.shape[:-2], -1)
 
 
 def unflatten_surface(vec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of flatten_surface."""
-    return np.asarray(vec).reshape((grid.n_age, grid.n_period), order="F")
+    """Inverse of flatten_surface: (..., A * T) -> (..., A, T), a view
+    where the reshape allows one."""
+    vec = np.asarray(vec)
+    return vec.reshape(*vec.shape[:-1], grid.n_period, grid.n_age).swapaxes(-1, -2)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import AdjacencyGraph
-from .core import BaselineSpec, GridSpec
+from .core import BaselineSpec, GridSpec, unflatten_surface
 from .inference import LatentModel, MortalityDataset, assemble_model
 from .priors import HyperParameters, PriorConfig
 
@@ -329,7 +329,7 @@ def simulate_dataset(
     rng = np.random.default_rng(seed)
     xi = model.sample_latent_prior(eta, rng)
     mu = model.logrates_flat(xi)
-    cube = mu.reshape(n_strata, grid.n_period, grid.n_age).transpose(0, 2, 1)
+    cube = unflatten_surface(mu.reshape(n_strata, -1), grid)
     exposures = np.full(cube.shape, float(exposure))
     with np.errstate(over="ignore", invalid="ignore"):
         lam = exposures * np.exp(cube)

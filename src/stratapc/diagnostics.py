@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import curvature_basis, linear_coordinates
+from .core import cell_index, curvature_basis, linear_coordinates
 from .inference import PosteriorFit
 
 RR_AMBIGUITY_NOTE = (
@@ -117,7 +117,7 @@ def hindcast(
 ) -> HindcastResult:
     """Draw counts Poisson(N exp(mu)) per posterior log-rate sample at the
     target cells (which may be unobserved; the latent model defines their
-    rates).  Exposures are required: an (R, A, T) array or one per target.
+    rates).  Exposures are required, as the (R, A, T) cube of the dataset.
 
     Each stratum holding targets is one ``_kernels.parallel_map`` task with
     its own Poisson stream: stratum r draws from
@@ -128,8 +128,6 @@ def hindcast(
     as one whole-submatrix draw would; so the draws depend on neither
     ``_kernels.BLOCK`` nor the thread count.  The percentiles sort each
     column block once (``_kernels.percentiles``)."""
-    if exposures is None:
-        raise ValueError("hindcasting requires exposures for the target cells")
     targets = np.atleast_2d(np.asarray(targets, dtype=int))
     if targets.shape[1] != 3:
         raise ValueError("targets must be rows of (stratum, age_index, period_index)")
@@ -141,21 +139,16 @@ def hindcast(
         first = tuple(int(x) for x in targets[np.argmax(outside)])
         raise IndexError(f"target cell {first} outside the grid")
     exposures = np.asarray(exposures, dtype=float)
-    if exposures.ndim == 3:
-        if exposures.shape != bounds:
-            raise ValueError(
-                f"exposures must have shape (R, A, T) = {bounds}, got {exposures.shape}"
-            )
-        n_target = exposures[targets[:, 0], targets[:, 1], targets[:, 2]]
-    else:
-        n_target = exposures.ravel()
-        if n_target.shape[0] != targets.shape[0]:
-            raise ValueError("per-target exposures must match the target count")
+    if exposures.shape != bounds:
+        raise ValueError(
+            f"exposures must have shape (R, A, T) = {bounds}, got {exposures.shape}"
+        )
+    n_target = exposures[targets[:, 0], targets[:, 1], targets[:, 2]]
     if np.any(~np.isfinite(n_target)) or np.any(n_target <= 0):
         raise ValueError("target exposures must be positive and finite")
 
     n, n_targets = fit.n_samples, targets.shape[0]
-    cell = targets[:, 2] * grid.n_age + targets[:, 1]
+    cell = cell_index(targets[:, 1], targets[:, 2], grid.n_age)
     samples = np.empty((n, n_targets), order="F")
     streams = np.random.SeedSequence(seed).spawn(model.n_strata)
 

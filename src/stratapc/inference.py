@@ -22,8 +22,9 @@ is the dense one.  The dense Hessian and its Cholesky factor are built
 only when posterior draws are taken.
 
 Cell vectorization is stratum-major, column-major by period within each
-stratum.  All sampling is seed-driven; identical inputs and seeds produce
-identical outputs on one platform.
+stratum: ``core.flatten_surface`` of the (R, A, T) cube.  All sampling is
+seed-driven; identical inputs and seeds produce identical outputs on one
+platform.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .core import (
     GridSpec,
     default_baseline_spec,
     design_parts,
+    flatten_surface,
+    unflatten_surface,
 )
 from .covariance import (
     CrossStrataStructure,
@@ -60,6 +63,7 @@ logger = logging.getLogger(__name__)
 
 _MODE_TOL = 1e-8  # the Newton mode is found below this gradient max-norm
 _MAX_HALVINGS = 30  # step halvings per Newton line search
+_MAX_NEWTON_ITERS = 100  # Newton iterations before the mode search gives up
 
 _SHARING_TABLE: dict[str, frozenset[str]] = {
     "M1": frozenset({"baseline", "age", "period", "cohort"}),
@@ -114,19 +118,6 @@ class SharingPattern:
 
 def pattern_names() -> tuple[str, ...]:
     return tuple(_SHARING_TABLE)
-
-
-def flatten_cells(arr: np.ndarray) -> np.ndarray:
-    """(R, A, T) -> flat vector, stratum-major, column-major by period."""
-    arr = np.asarray(arr)
-    r = arr.shape[0]
-    return arr.transpose(0, 2, 1).reshape(r, -1).ravel()
-
-
-def unflatten_cells(flat: np.ndarray, n_strata: int, grid: GridSpec) -> np.ndarray:
-    """Inverse of flatten_cells, back to (R, A, T)."""
-    flat = np.asarray(flat)
-    return flat.reshape(n_strata, grid.n_period, grid.n_age).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -195,9 +186,9 @@ class PoissonLikelihood:
     cell order, with the constant terms precomputed."""
 
     def __init__(self, data: MortalityDataset):
-        self.y = flatten_cells(data.counts)
-        self.exposure = flatten_cells(data.exposures)
-        self.observed = flatten_cells(data.observed).astype(bool)
+        self.y = flatten_surface(data.counts).ravel()
+        self.exposure = flatten_surface(data.exposures).ravel()
+        self.observed = flatten_surface(data.observed).ravel()
         y_obs = self.y[self.observed]
         n_obs = self.exposure[self.observed]
         # per-observed-cell constants, for pointwise scoring
@@ -699,12 +690,12 @@ class StructuredHessian:
         # W_r = L_r^-1 [H_lm, B_r], H_lm holding -q at (j, slot of j)
         l_pos_rho = l_inv[:, :, pos_rho]
         self.w = np.concatenate([-l_pos_rho * q_m, l_inv @ grams[:, lc[:, None], gc]], axis=2)
-        s = -(self.w.transpose(0, 2, 1) @ self.w).sum(axis=0)
+        s = -(self.w.swapaxes(1, 2) @ self.w).sum(axis=0)
         s[n_m:, n_m:] += glob
         if n_m:
             # S_mm = diag(h_mm) - sum_r q K_r^-1 q, written as
             # diag(d / rho) + q sum_r K_r^-1 G_r, free of the cancellation as rho -> 1
-            k_inv_g = (l_pos_rho.transpose(0, 2, 1) @ (l_inv @ g_loc[:, :, pos_rho])).sum(axis=0)
+            k_inv_g = (l_pos_rho.swapaxes(1, 2) @ (l_inv @ g_loc[:, :, pos_rho])).sum(axis=0)
             k_inv_g *= q_m[:, None]
             s[:n_m, :n_m] = np.diag(d[pos_rho] / rho[pos_rho]) + 0.5 * (k_inv_g + k_inv_g.T)
         self.l_s = _factor(s) if s.shape[0] else None
@@ -715,9 +706,9 @@ class StructuredHessian:
         self.neg_rho = np.flatnonzero(rho < 0)
         if self.neg_rho.shape[0]:
             mu = (-rho * a / (1.0 + (n_strata - 1) * rho) * d)[self.neg_rho]
-            l_neg_rho = l_inv[:, :, self.neg_rho].transpose(0, 2, 1)
+            l_neg_rho = l_inv[:, :, self.neg_rho].swapaxes(1, 2)
             # sum_r K_r^-1[neg_rho, neg_rho]
-            cap = (l_neg_rho @ l_neg_rho.transpose(0, 2, 1)).sum(axis=0)
+            cap = (l_neg_rho @ l_neg_rho.swapaxes(1, 2)).sum(axis=0)
             if self.l_s is not None:
                 f = (l_neg_rho @ self.w).sum(axis=0)  # sum_r K_r^-1[neg_rho, :] [H_lm, B_r]
                 cap += f @ _cho_solve(self.l_s, f.T)
@@ -796,15 +787,14 @@ def conditional_mode(
     eta: HyperParameters,
     data,
     init: np.ndarray | None = None,
-    max_iter: int = 100,
 ) -> ModeResult:
     """Newton/IRLS maximization of loglik + latent log prior at fixed eta.
 
     ``data`` is a ``MortalityDataset`` or a likelihood already built from
     one (see ``as_likelihood``).  Converges when the gradient max-norm drops
     below ``_MODE_TOL`` or the relative objective change drops below 1e-12;
-    raises ModeError (with the last iterate attached) on non-convergence or
-    a failed line search.
+    raises ModeError (with the last iterate attached) on non-convergence in
+    ``_MAX_NEWTON_ITERS`` iterations or a failed line search.
     """
     likelihood = as_likelihood(data)
     prior = model.latent_prior(eta)
@@ -826,7 +816,7 @@ def conditional_mode(
     if not np.isfinite(obj):
         raise ModeError("objective not finite at the initial point", last=xi)
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_NEWTON_ITERS + 1):
         grad = model.design_transpose_apply(grad_mu) + prior.grad(xi)
         if np.max(np.abs(grad)) < _MODE_TOL:
             break
@@ -845,7 +835,7 @@ def conditional_mode(
         if rel_change < 1e-12:
             break
     else:
-        raise ModeError(f"no convergence in {max_iter} Newton iterations", last=xi)
+        raise ModeError(f"no convergence in {_MAX_NEWTON_ITERS} Newton iterations", last=xi)
 
     # obj and w were evaluated at the accepted xi
     return ModeResult(xi=xi, operator=hessian(w, " at the mode"), objective=obj, n_iter=n_iter)
@@ -1038,10 +1028,9 @@ class PosteriorFit:
         """(n, R, A, T) view of the log-rate samples (whole-matrix, as
         ``lograte_samples``)."""
         n = self.samples.shape[0]
-        g = self.model.grid
-        return self.lograte_samples.reshape(
-            n, self.model.n_strata, g.n_period, g.n_age
-        ).transpose(0, 1, 3, 2)
+        return unflatten_surface(
+            self.lograte_samples.reshape(n, self.model.n_strata, -1), self.model.grid
+        )
 
 
 def sample_posterior(

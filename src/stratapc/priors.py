@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri, stdtrit
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .inference import LatentModel
+    from .inference import LatentModel, MortalityDataset
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ class BaselineMeanPrior:
         var = np.asarray(self.variances, dtype=float)
         if mean.shape != (3,) or var.shape != (3,):
             raise ValueError("baseline mean prior needs 3 means and 3 variances")
-        if np.any(var <= 0):
-            raise ValueError("baseline prior variances must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("baseline prior means must be finite")
+        if not np.all((var > 0) & (var < np.inf)):
+            raise ValueError("baseline prior variances must be positive and finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variances", var)
 
@@ -129,6 +131,16 @@ class PriorConfig:
     q: float = 0.05
     baseline_mean: BaselineMeanPrior = field(default_factory=default_baseline_mean_prior)
     exchangeable_variance: float = 5.0
+
+    def __post_init__(self) -> None:
+        for block, eps in self.epsilons.items():
+            if not 0.0 < eps < np.inf:
+                raise ValueError(f"epsilon_{block} must be positive and finite, got {eps!r}")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
+        var = self.exchangeable_variance
+        if not 0.0 < var < np.inf:
+            raise ValueError(f"exchangeable_variance must be positive and finite, got {var!r}")
 
     def elicitation(self, block: str) -> PrecisionElicitation:
         return PrecisionElicitation(epsilon=self.epsilons[block], q=self.q)
@@ -389,8 +401,9 @@ class PriorModel:
 @dataclass(frozen=True)
 class PriorPredictiveSummary:
     """Extrema of simulated count surfaces and exceedance fractions against
-    the observed extrema (when observed counts are supplied).  Simulations
-    whose log rates overflow the plausible range are counted separately."""
+    the observed extrema (None when every replicate is degenerate).
+    Simulations whose log rates overflow the plausible range are counted
+    separately."""
 
     n_sims: int
     n_degenerate: int
@@ -405,31 +418,24 @@ _DEGENERATE_LOGRATE = 30.0  # a simulated log rate above this marks a replicate 
 
 def sample_prior_predictive(
     model: "LatentModel",
-    exposures: np.ndarray,
+    data: "MortalityDataset",
     n_sims: int,
     seed: int,
-    observed: np.ndarray | None = None,
-    observed_counts: np.ndarray | None = None,
     fixed: HyperParameters | None = None,
 ) -> PriorPredictiveSummary:
     """Simulate count surfaces from the joint prior.
 
     Each replicate draws hyperparameters from the hyperprior (or uses
     ``fixed``), latent coordinates from the matrix-normal priors, and Poisson
-    counts on the observed cells.  Replicates with any log rate above
-    ``_DEGENERATE_LOGRATE`` are flagged degenerate and excluded from the
-    extrema; exposures must be strictly positive on observed cells.
+    counts on the observed cells of ``data`` at its exposures.  Replicates
+    with any log rate above ``_DEGENERATE_LOGRATE`` are flagged degenerate
+    and excluded from the extrema, which are compared with the observed
+    counts' extrema.
     """
-    from .inference import flatten_cells
+    from .inference import PoissonLikelihood  # inference imports this module
 
-    exposures = np.asarray(exposures, dtype=float)
-    if observed is None:
-        observed = np.ones_like(exposures, dtype=bool)
-    obs_flat = flatten_cells(observed).astype(bool)
-    exp_flat = flatten_cells(exposures)
-    if np.any(exp_flat[obs_flat] <= 0):
-        raise ValueError("exposures must be strictly positive on observed cells")
-
+    lik = PoissonLikelihood(data)
+    exposure = lik.exposure[lik.observed]
     seeds = np.random.SeedSequence(seed).spawn(n_sims)
     maxima: list[float] = []
     minima: list[float] = []
@@ -438,21 +444,21 @@ def sample_prior_predictive(
         rng = np.random.default_rng(seeds[s])
         eta = fixed if fixed is not None else model.prior_model.sample(rng)
         xi = model.sample_latent_prior(eta, rng)
-        mu = model.logrates_flat(xi)[obs_flat]
+        mu = model.logrates_flat(xi)[lik.observed]
         if np.max(mu) > _DEGENERATE_LOGRATE:
             n_degenerate += 1
             continue
-        counts = rng.poisson(exp_flat[obs_flat] * np.exp(mu))
+        counts = rng.poisson(exposure * np.exp(mu))
         maxima.append(float(counts.max()))
         minima.append(float(counts.min()))
 
     max_counts = np.asarray(maxima)
     min_counts = np.asarray(minima)
     frac_max = frac_min = None
-    if observed_counts is not None and max_counts.size:
-        y_flat = flatten_cells(np.asarray(observed_counts, dtype=float))[obs_flat]
-        frac_max = float(np.mean(max_counts > y_flat.max()))
-        frac_min = float(np.mean(min_counts < y_flat.min()))
+    if max_counts.size:
+        y = lik.y[lik.observed]
+        frac_max = float(np.mean(max_counts > y.max()))
+        frac_min = float(np.mean(min_counts < y.min()))
     return PriorPredictiveSummary(
         n_sims=n_sims,
         n_degenerate=n_degenerate,

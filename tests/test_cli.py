@@ -392,10 +392,14 @@ class TestUsage:
             ({}, [*FIT, "--seed", "-1"], "--seed"),
             ({}, ["grid", "--structures", "bym2"], "bym2"),
             ({}, ["grid", "--structures", "independent,bym2"], "bym2"),
+            ({"priors": {"q": 1.5}}, FIT, "error: config field 'priors'"),
+            ({"priors": {"epsilon_age": 0}}, FIT, "error: config field 'priors'"),
+            ({"priors": {"exchangeable_variance": -2}}, FIT, "error: config field 'priors'"),
         ],
         ids=[
             "n_samples=1", "n_samples=-5", "budget=0", "rel_tol=-1", "rel_tol=inf",
             "seed=-1", "--seed=-1", "grid-bym2-no-graph", "grid-bym2-among-others",
+            "q=1.5", "epsilon_age=0", "exchangeable_variance=-2",
         ],
     )
     def test_bad_setting_rejected_before_fitting(
@@ -409,6 +413,7 @@ class TestUsage:
         assert calls == []
         assert not out.exists()
         err = capsys.readouterr().err
+        assert "Traceback" not in err
         assert any("error:" in line and field in line for line in err.splitlines()), err
 
     IO = ["--config", "{cfg}", "--data", "{data}"]

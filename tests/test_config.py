@@ -124,6 +124,15 @@ class TestRanges:
             ({"structure": ["independent"]}, "structure"),
             ({"sead": 3}, "sead"),
             ({"baseline": {**README_CONFIG["baseline"], "form": "three-points"}}, "baseline.form"),
+            ({"priors": {"q": 1.5}}, "priors"),
+            ({"priors": {"q": 0.0}}, "priors"),
+            ({"priors": {"epsilon_age": 0}}, "priors"),
+            ({"priors": {"epsilon_cohort": -0.1}}, "priors"),
+            ({"priors": {"epsilon_period": float("inf")}}, "priors"),
+            ({"priors": {"exchangeable_variance": -2}}, "priors"),
+            ({"priors": {"exchangeable_variance": float("nan")}}, "priors"),
+            ({"priors": {"nu0_mean": [float("inf"), 0.0, 0.0]}}, "priors"),
+            ({"priors": {"nu0_variances": [float("nan"), 1.0, 1.0]}}, "priors"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )

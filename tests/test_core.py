@@ -13,6 +13,7 @@ from stratapc.core import (
     apply_group,
     build_design_matrix,
     canonical_from_effects,
+    cell_index,
     cohort_index,
     default_baseline_spec,
     design_parts,
@@ -284,3 +285,26 @@ class TestFlatten:
         flat = flatten_surface(surf)
         # all ages for period 1 first
         assert np.array_equal(flat[:3], surf[:, 0])
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["surface", "strata", "draws"])
+    def test_stacks_match_the_explicit_formulas(self, rng, lead):
+        g = GridSpec(4, 5)
+        arr = rng.normal(size=(*lead, 4, 5))
+        flat = flatten_surface(arr)
+        assert flat.shape == (*lead, g.n_cells)
+        # column-major by period within each surface, stratum-major across a stack
+        per_surface = arr.reshape(-1, 4, 5)
+        expected = np.stack([s.ravel(order="F") for s in per_surface])
+        assert np.array_equal(flat.reshape(-1, g.n_cells), expected)
+        if len(lead) == 1:
+            assert np.array_equal(flat, arr.transpose(0, 2, 1).reshape(lead[0], -1))
+        assert np.array_equal(unflatten_surface(flat, g), arr)
+
+    def test_cell_index_is_where_flatten_puts_the_cell(self, rng):
+        g = GridSpec(4, 5)
+        surf = rng.normal(size=(4, 5))
+        ages, periods = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
+        index = cell_index(ages, periods, g.n_age)
+        assert np.array_equal(flatten_surface(surf)[index], surf)
+        assert sorted(index.ravel()) == list(range(g.n_cells))
+        assert cell_index(2, 3, g.n_age) == 14

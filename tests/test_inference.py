@@ -8,7 +8,14 @@ from scipy import stats as sstats
 from scipy.special import logsumexp
 
 from stratapc import inference
-from stratapc.core import BaselineSpec, GridSpec, default_baseline_spec, design_parts
+from stratapc.core import (
+    BaselineSpec,
+    GridSpec,
+    default_baseline_spec,
+    design_parts,
+    flatten_surface,
+    unflatten_surface,
+)
 from stratapc.covariance import (
     AdjacencyGraph,
     CrossStrataStructure,
@@ -28,13 +35,11 @@ from stratapc.inference import (
     assemble_model,
     conditional_mode,
     fit_model,
-    flatten_cells,
     laplace_log_marginal,
     optimize_hyperparameters,
     pattern_names,
     poisson_loglik,
     sample_posterior,
-    unflatten_cells,
 )
 from stratapc.mcmc import mcmc_oracle
 from tests._stand_ins import GaussianPseudoLikelihood
@@ -209,7 +214,7 @@ class TestFlatten:
     def test_round_trip(self, rng):
         arr = rng.normal(size=(3, 4, 5))
         grid = GridSpec(4, 5)
-        assert np.array_equal(unflatten_cells(flatten_cells(arr), 3, grid), arr)
+        assert np.array_equal(unflatten_surface(flatten_surface(arr), grid), arr)
 
 
 class TestPoissonLoglik:
@@ -287,7 +292,7 @@ class TestPoissonLoglik:
         model = assemble_model(grid, 2, "M6", "independent")
         xi = rng.normal(scale=0.1, size=model.free_dim)
         ll, grad, w = poisson_loglik(xi, model, ds_masked)
-        flat_obs = flatten_cells(observed)
+        flat_obs = flatten_surface(observed).ravel()
         assert np.all(w[~flat_obs] == 0.0)
         # physically deleting the same cells gives the identical likelihood
         counts2 = counts.copy()
@@ -429,8 +434,8 @@ class TestConditionalMode:
 
         # independent IRLS oracle on the same design
         m = model.parts.matrix
-        y = flatten_cells(ds.counts)
-        n = flatten_cells(ds.exposures)
+        y = flatten_surface(ds.counts).ravel()
+        n = flatten_surface(ds.exposures).ravel()
         beta = np.zeros(m.shape[1])
         beta[0] = np.log(y.sum() / n.sum())
         for _ in range(50):
@@ -456,18 +461,19 @@ class TestConditionalMode:
         n = np.full(mu.shape, 1e8)
         y = rng.poisson(n * np.exp(mu)).astype(float)
         ds = MortalityDataset.from_arrays(
-            unflatten_cells(y, 1, grid), unflatten_cells(n, 1, grid)
+            unflatten_surface(y[None], grid), unflatten_surface(n[None], grid)
         )
         eta = HyperParameters(taus={b: 100.0 for b in model.prior_model.tau_blocks})
         mode = conditional_mode(model, eta, ds)
         assert np.max(np.abs(mode.xi - xi_true)) < 1e-3
 
-    def test_nonconvergence_raises_with_last_iterate(self, rng):
+    def test_nonconvergence_raises_with_last_iterate(self, rng, monkeypatch):
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
         model = assemble_model(grid, 2, "M5", "independent")
+        monkeypatch.setattr(inference, "_MAX_NEWTON_ITERS", 1)
         with pytest.raises(ModeError) as err:
-            conditional_mode(model, model.prior_model.default(), ds, max_iter=1)
+            conditional_mode(model, model.prior_model.default(), ds)
         assert err.value.last is not None
 
 
@@ -481,7 +487,7 @@ class TestLaplace:
         prior = model.latent_prior(eta)
         sigma2 = 0.3
         z_cube = rng.normal(size=(2, 4, 4))
-        lik = GaussianPseudoLikelihood(flatten_cells(z_cube), sigma2)
+        lik = GaussianPseudoLikelihood(flatten_surface(z_cube).ravel(), sigma2)
         value = laplace_log_marginal(model, eta, data=lik)
 
         design = np.zeros((model.n_cells, model.free_dim))
@@ -493,7 +499,7 @@ class TestLaplace:
         marg_cov = sigma2 * np.eye(model.n_cells) + design @ prior_cov @ design.T
         closed = sstats.multivariate_normal(
             mean=design @ prior.mean, cov=marg_cov
-        ).logpdf(flatten_cells(z_cube))
+        ).logpdf(flatten_surface(z_cube).ravel())
         closed += model.prior_model.logpdf(eta)
         assert value == pytest.approx(closed, abs=1e-8)
 
@@ -524,7 +530,7 @@ class TestOptimize:
         n = np.full(mu.shape, 1e6)
         y = np.random.default_rng(6).poisson(n * np.exp(mu)).astype(float)
         ds = MortalityDataset.from_arrays(
-            unflatten_cells(y, 1, grid), unflatten_cells(n, 1, grid)
+            unflatten_surface(y[None], grid), unflatten_surface(n[None], grid)
         )
         opt = optimize_hyperparameters(model, ds, budget=800)
         # curvature vectors have ~6-17 entries per block; log tau is only

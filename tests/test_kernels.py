@@ -16,7 +16,7 @@ from scipy.stats import poisson
 
 import stratapc
 from stratapc import _kernels, _threads
-from stratapc.core import GridSpec
+from stratapc.core import GridSpec, flatten_surface
 from stratapc.data import simulate_dataset
 from stratapc.inference import (
     MortalityDataset,
@@ -24,7 +24,6 @@ from stratapc.inference import (
     PosteriorFit,
     assemble_model,
     conditional_mode,
-    flatten_cells,
 )
 from stratapc.selection import pointwise_loglik
 
@@ -46,8 +45,8 @@ def likelihood_case(rng):
     counts = rng.poisson(exposures * 0.02).astype(float)
     observed = rng.uniform(size=shape) > 0.25
     ds = MortalityDataset.from_arrays(counts, exposures, observed=observed)
-    obs = flatten_cells(observed).astype(bool)
-    return ds, flatten_cells(counts)[obs], flatten_cells(exposures)[obs], obs
+    obs = flatten_surface(observed).ravel()
+    return ds, flatten_surface(counts).ravel()[obs], flatten_surface(exposures).ravel()[obs], obs
 
 
 class TestPaths:
@@ -250,7 +249,7 @@ class TestOverflow:
 
     def test_likelihood_rejects_overflow_quietly(self, likelihood_case):
         ds = likelihood_case[0]
-        mu = np.full(flatten_cells(ds.observed).size, 800.0)
+        mu = np.full(ds.observed.size, 800.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ll, _, _ = PoissonLikelihood(ds).value_grad_weights(mu)

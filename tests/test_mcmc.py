@@ -5,7 +5,6 @@ from stratapc.data import simulate_dataset
 from stratapc.inference import (
     assemble_model,
     conditional_mode,
-    flatten_cells,
     optimize_hyperparameters,
     sample_posterior,
 )

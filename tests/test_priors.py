@@ -11,7 +11,7 @@ from stratapc.covariance import (
     scaled_generalized_inverse,
 )
 from stratapc.core import GridSpec
-from stratapc.inference import assemble_model, pattern_names
+from stratapc.inference import MortalityDataset, assemble_model, pattern_names
 from stratapc.priors import (
     BaselineMeanPrior,
     HyperParameters,
@@ -331,7 +331,8 @@ class TestPriorPredictive:
         )
         model = assemble_model(grid, 2, "M5", "independent", prior_config=tight)
         exposure = np.full((2, 5, 5), 50.0)
-        out = sample_prior_predictive(model, exposure, n_sims=400, seed=3, fixed=fixed)
+        data = MortalityDataset.from_arrays(np.zeros_like(exposure), exposure)
+        out = sample_prior_predictive(model, data, n_sims=400, seed=3, fixed=fixed)
         assert out.n_degenerate == 0
         lam = 50.0 * np.exp(log_rate)
         # the max of 50 iid Poisson(2.49) draws concentrates near 7-8
@@ -342,8 +343,9 @@ class TestPriorPredictive:
         grid = GridSpec(4, 4)
         model = assemble_model(grid, 2, "M6", "independent")
         exposure = np.full((2, 4, 4), 100.0)
-        a = sample_prior_predictive(model, exposure, n_sims=50, seed=11)
-        b = sample_prior_predictive(model, exposure, n_sims=50, seed=11)
+        data = MortalityDataset.from_arrays(np.zeros_like(exposure), exposure)
+        a = sample_prior_predictive(model, data, n_sims=50, seed=11)
+        b = sample_prior_predictive(model, data, n_sims=50, seed=11)
         assert np.array_equal(a.max_counts, b.max_counts)
         assert a.n_degenerate == b.n_degenerate
 
@@ -352,9 +354,8 @@ class TestPriorPredictive:
         model = assemble_model(grid, 2, "M5", "independent")
         exposure = np.full((2, 4, 4), 100.0)
         counts = rng.poisson(100.0 * 0.005, size=(2, 4, 4)).astype(float)
-        out = sample_prior_predictive(
-            model, exposure, n_sims=60, seed=5, observed_counts=counts
-        )
+        data = MortalityDataset.from_arrays(counts, exposure)
+        out = sample_prior_predictive(model, data, n_sims=60, seed=5)
         assert out.frac_max_exceeds_observed is not None
         assert 0.0 <= out.frac_max_exceeds_observed <= 1.0
         assert 0.0 <= out.frac_min_below_observed <= 1.0
@@ -364,4 +365,5 @@ class TestPriorPredictive:
         model = assemble_model(grid, 2, "M5", "independent")
         exposure = np.zeros((2, 4, 4))
         with pytest.raises(ValueError):
-            sample_prior_predictive(model, exposure, n_sims=5, seed=1)
+            data = MortalityDataset.from_arrays(np.zeros_like(exposure), exposure)
+            sample_prior_predictive(model, data, n_sims=5, seed=1)

@@ -134,7 +134,8 @@ def test_pointwise_loglik_matches_whole_matrix(fit, dataset):
 
 
 def test_pointwise_loglik_fully_observed_matches_whole_matrix(dataset):
-    # every stratum's cells observed: the log rates are read without a copy
+    # every stratum's cells observed: no column selection; the kernel
+    # overwrites the stratum's log rates in place and one copy moves them out
     full = MortalityDataset.from_arrays(
         dataset.counts, dataset.exposures, observed=np.ones(SHAPE, dtype=bool)
     )
@@ -143,6 +144,17 @@ def test_pointwise_loglik_fully_observed_matches_whole_matrix(dataset):
     ll = pointwise_loglik(fit, full)
     assert ll.shape == (N_DRAWS, full.observed.size)
     assert np.array_equal(ll, whole_matrix_pointwise(full, fit.lograte_samples))
+
+
+def test_lograte_cube_matches_stratum_logrates(fit):
+    cube = fit.lograte_cube()
+    model = fit.model
+    g = model.grid
+    assert cube.shape == (N_DRAWS, *SHAPE)
+    for r in range(model.n_strata):
+        stratum = model.stratum_logrates(fit.samples, r)
+        for i, j in np.ndindex(g.n_age, g.n_period):
+            assert np.array_equal(cube[:, r, i, j], stratum[:, j * g.n_age + i])
 
 
 @pytest.mark.parametrize("bad_cells", [(), (0, 13, 14, 89)])
