@@ -47,7 +47,6 @@ from .priors import (
     BaselineMeanPrior,
     PrecisionElicitation,
     PriorConfig,
-    elicit_precision_rate,
     sample_prior_predictive,
 )
 from .selection import GridConfig, fit_grid, waic

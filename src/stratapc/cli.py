@@ -157,6 +157,9 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
     graph = None
     if args.graph:
         graph, _ = load_graph(args.graph, strata=dataset.strata)
+    # the structures named by --structure, or by grid's --structures
+    elif "bym2" in (getattr(args, "structure", None) or args.structures or "").split(","):
+        raise UsageError("structure bym2 requires --graph")
     fit_config = dataclasses.replace(config.fit, seed=seed, graph=graph)
     meta = {
         "provenance": provenance(config.canonical_dict(), seed),
@@ -169,11 +172,6 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
         "seed": seed,
     }
     return config, dataset, fit_config, meta
-
-
-def _check_structure(kind: str, fit_config: GridConfig) -> None:
-    if kind == "bym2" and fit_config.graph is None:
-        raise UsageError("structure bym2 requires --graph")
 
 
 def _stratum_index(dataset: MortalityDataset, label: str) -> int:
@@ -250,7 +248,6 @@ def _lograte_percentiles(fit) -> np.ndarray:
 def _cmd_fit(args) -> int:
     config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    _check_structure(args.structure, fit_config)
     fit = fit_candidate(dataset, fit_config, args.pattern, args.structure, fit_config.seed)
     score = waic(pointwise_loglik(fit, dataset))
     lower, median, upper = _lograte_percentiles(fit)
@@ -327,32 +324,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _subset(flag: str, value: str | None, known: tuple[str, ...], default) -> tuple[str, ...]:
-    """The names of a comma-separated grid subset flag, all of them known."""
+def _subset(config: GridConfig, flag: str, value: str | None, field: str) -> GridConfig:
+    """``config`` with the names of a comma-separated grid subset flag as
+    its ``field``."""
     if not value:
-        return default
-    names = tuple(value.split(","))
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise UsageError(
-            f"{flag}: unknown {', '.join(map(repr, unknown))}; use {', '.join(known)}"
-        )
-    return names
+        return config
+    try:
+        return dataclasses.replace(config, **{field: tuple(value.split(","))})
+    except ValueError as exc:  # GridConfig's check of the names
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _cmd_grid(args) -> int:
-    _, dataset, fit_config, meta = _load(args)
-    models = _subset("--models", args.models, pattern_names(), fit_config.patterns)
-    structures = _subset("--structures", args.structures, STRUCTURES, fit_config.structures)
-    if args.structures:
-        for kind in structures:
-            _check_structure(kind, fit_config)
-    elif fit_config.graph is None:
+    _, dataset, grid_config, meta = _load(args)
+    grid_config = _subset(grid_config, "--models", args.models, "patterns")
+    grid_config = _subset(grid_config, "--structures", args.structures, "structures")
+    structures = grid_config.structures
+    if grid_config.graph is None:  # _load rejected bym2 named by --structures
         structures = tuple(s for s in structures if s != "bym2")
     out = _outdir(args.out)
-    grid_config = dataclasses.replace(
-        fit_config, patterns=models, structures=structures, workers=args.workers
-    )
+    grid_config = dataclasses.replace(grid_config, structures=structures, workers=args.workers)
     result = fit_grid(dataset, grid_config)
     rows = [
         (e["pattern"], e["structure"], e["waic"], e["lppd"], e["p_waic"],
@@ -382,7 +373,6 @@ def _cmd_grid(args) -> int:
 def _cmd_prior_check(args) -> int:
     _, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    _check_structure(args.structure, fit_config)
     summary = sample_prior_predictive(
         candidate_model(dataset, fit_config, args.pattern, args.structure),
         dataset,
@@ -416,7 +406,6 @@ def _cmd_prior_check(args) -> int:
 def _cmd_hindcast(args) -> int:
     config, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    _check_structure(args.structure, fit_config)
     if fit_config.n_samples < MIN_PIT_SAMPLES:
         raise UsageError(
             f"hindcast PIT needs inference.n_samples >= {MIN_PIT_SAMPLES}, "
@@ -494,7 +483,6 @@ def _cmd_hindcast(args) -> int:
 def _cmd_rr(args) -> int:
     _, dataset, fit_config, meta = _load(args)
     out = _outdir(args.out)
-    _check_structure(args.structure, fit_config)
     r1 = _stratum_index(dataset, args.r1)
     r2 = _stratum_index(dataset, args.r2)
     fit = fit_candidate(dataset, fit_config, args.pattern, args.structure, fit_config.seed)

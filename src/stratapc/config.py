@@ -8,15 +8,13 @@ cannot silently run with the default."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import BaselineSpec
-from .covariance import STRUCTURES
 from .data import GridWindow
-from .inference import pattern_names
 from .priors import BaselineMeanPrior, PriorConfig
 from .selection import GridConfig
 
@@ -88,14 +86,15 @@ def _section(raw: dict, key: str, default):
     return value
 
 
-def _names(raw: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
+def _names(raw: dict, key: str, fit: GridConfig, field_name: str) -> GridConfig:
+    """``fit`` with the list of names under ``key`` as its ``field_name``."""
     names = raw[key]
     if not isinstance(names, list):
         raise ConfigError(key, f"expected a list of names, got {names!r}")
-    for n in names:
-        if n not in known:
-            raise ConfigError(key, f"unknown name {n!r}; use {', '.join(known)}")
-    return tuple(names)
+    try:
+        return replace(fit, **{field_name: tuple(names)})
+    except ValueError as exc:  # GridConfig's check of the names
+        raise ConfigError(key, str(exc)) from exc
 
 
 def _prior_config(p: dict) -> PriorConfig:
@@ -170,15 +169,15 @@ class RunConfig:
             settings["seed"] = _setting(
                 raw, "seed", "seed", _integer, lambda v: v >= 0, "at least 0"
             )
-        if "models" in raw:
-            settings["patterns"] = _names(raw, "models", pattern_names())
-        if "structures" in raw:
-            settings["structures"] = _names(raw, "structures", STRUCTURES)
         fit = GridConfig(
             prior_config=_prior_config(_section(raw, "priors", {})),
             baseline_spec=baseline_spec,
             **settings,
         )
+        if "models" in raw:
+            fit = _names(raw, "models", fit, "patterns")
+        if "structures" in raw:
+            fit = _names(raw, "structures", fit, "structures")
         return cls(window=window, fit=fit)
 
     @classmethod

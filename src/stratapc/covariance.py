@@ -58,26 +58,11 @@ class AdjacencyGraph:
         return w
 
     def component_labels(self) -> np.ndarray:
-        """Connected-component label per stratum (0-based, breadth-first)."""
-        labels = np.full(self.n_strata, -1, dtype=int)
-        neighbors: list[list[int]] = [[] for _ in range(self.n_strata)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        comp = 0
-        for start in range(self.n_strata):
-            if labels[start] >= 0:
-                continue
-            stack = [start]
-            labels[start] = comp
-            while stack:
-                node = stack.pop()
-                for nb in neighbors[node]:
-                    if labels[nb] < 0:
-                        labels[nb] = comp
-                        stack.append(nb)
-            comp += 1
-        return labels
+        """Connected-component label per stratum (0-based, numbered in order
+        of each component's first stratum)."""
+        from scipy.sparse.csgraph import connected_components  # only graphs pay its import
+
+        return connected_components(self.adjacency_matrix(), directed=False)[1]
 
     @property
     def n_components(self) -> int:

@@ -21,8 +21,10 @@ Sigma^-1 is dense, so every coordinate is global and each factorization
 is the dense one.  The dense Hessian and its Cholesky factor are built
 only when posterior draws are taken.
 
-Cell vectorization is stratum-major, column-major by period within each
-stratum: ``core.flatten_surface`` of the (R, A, T) cube.  All sampling is
+A dataset meets a model in one place, ``LatentModel.likelihood``, which
+rejects one whose (R, A, T) is not the model's.  Cell vectorization is
+stratum-major, column-major by period within each stratum:
+``core.flatten_surface`` of the (R, A, T) cube.  All sampling is
 seed-driven; identical inputs and seeds produce identical outputs on one
 platform.
 """
@@ -90,23 +92,18 @@ class SharingPattern:
     named patterns, from everything shared down to nothing shared)."""
 
     name: str
-    shared: frozenset[str]
 
     def __post_init__(self) -> None:
-        expected = _SHARING_TABLE.get(self.name)
-        if expected is None:
+        if self.name not in _SHARING_TABLE:
             raise ValueError(f"unknown pattern {self.name!r}; use M1..M6")
-        if frozenset(self.shared) != expected:
-            raise ValueError(
-                f"pattern {self.name} shares {sorted(expected)}, got {sorted(self.shared)}"
-            )
 
     @classmethod
     def from_name(cls, name: str) -> "SharingPattern":
-        name = name.upper()
-        if name not in _SHARING_TABLE:
-            raise ValueError(f"unknown pattern {name!r}; use M1..M6")
-        return cls(name=name, shared=_SHARING_TABLE[name])
+        return cls(name.upper())
+
+    @property
+    def shared(self) -> frozenset[str]:
+        return _SHARING_TABLE[self.name]
 
     def is_shared(self, block: str) -> bool:
         return block in self.shared
@@ -186,6 +183,7 @@ class PoissonLikelihood:
     cell order, with the constant terms precomputed."""
 
     def __init__(self, data: MortalityDataset):
+        self.shape = data.counts.shape  # (R, A, T)
         self.y = flatten_surface(data.counts).ravel()
         self.exposure = flatten_surface(data.exposures).ravel()
         self.observed = flatten_surface(data.observed).ravel()
@@ -208,21 +206,6 @@ class PoissonLikelihood:
             logger.debug("Poisson log likelihood not finite (exp overflowed): point rejected")
             return -np.inf, grad, w
         return core + self.constant, grad, w
-
-
-def as_likelihood(data):
-    """The likelihood behind an inference entry point's ``data`` argument:
-    a ``PoissonLikelihood`` built from a ``MortalityDataset``, or ``data``
-    itself when it is already a likelihood, i.e. it has
-    ``value_grad_weights(mu) -> (value, grad, weights)``."""
-    if isinstance(data, MortalityDataset):
-        return PoissonLikelihood(data)
-    if callable(getattr(data, "value_grad_weights", None)):
-        return data
-    raise TypeError(
-        "data must be a MortalityDataset or a likelihood with "
-        f"value_grad_weights(mu), not {type(data).__name__}"
-    )
 
 
 class LatentPrior:
@@ -366,6 +349,25 @@ class LatentModel:
     @property
     def n_cells(self) -> int:
         return self.grid.n_cells * self.n_strata
+
+    def likelihood(self, data):
+        """The likelihood of ``data`` under this model, the one place a
+        dataset meets a model: a ``PoissonLikelihood`` built from a
+        ``MortalityDataset``, or ``data`` itself when it is already a
+        likelihood, i.e. it has ``value_grad_weights(mu) -> (value, grad,
+        weights)``.  A dataset or ``PoissonLikelihood`` must have the model's
+        (R, A, T); the grids' interval widths are not compared."""
+        if isinstance(data, MortalityDataset):
+            data = PoissonLikelihood(data)
+        elif not callable(getattr(data, "value_grad_weights", None)):
+            raise TypeError(
+                "data must be a MortalityDataset or a likelihood with "
+                f"value_grad_weights(mu), not {type(data).__name__}"
+            )
+        shape = (self.n_strata, self.grid.n_age, self.grid.n_period)
+        if isinstance(data, PoissonLikelihood) and data.shape != shape:
+            raise ValueError(f"data has (R, A, T) = {data.shape}, the model {shape}")
+        return data
 
     def logrates_matrix(self, xi: np.ndarray) -> np.ndarray:
         """Log rates as (R, n_cells_per_stratum)."""
@@ -556,7 +558,6 @@ def assemble_model(
         structure_kind=structure.kind,
         tau_blocks=tau_blocks,
         rho_blocks=tuple(rho_blocks),
-        nu0_active=not pattern.is_shared("baseline"),
         rates={b: prior_config.rate(b) for b in tau_blocks},
         baseline_mean=prior_config.baseline_mean,
         exchangeable_variance=prior_config.exchangeable_variance,
@@ -578,11 +579,12 @@ def assemble_model(
 
 
 def poisson_loglik(
-    xi: np.ndarray, model: LatentModel, data: MortalityDataset
+    xi: np.ndarray, model: LatentModel, data
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Poisson log likelihood with its gradient (w.r.t. the free latent
-    vector) and the per-cell Fisher weights N exp(mu)."""
-    lik = PoissonLikelihood(data)
+    """Log likelihood of ``data`` (see ``LatentModel.likelihood``) with its
+    gradient (w.r.t. the free latent vector) and the per-cell Fisher weights,
+    N exp(mu) for a dataset."""
+    lik = model.likelihood(data)
     mu = model.logrates_flat(xi)
     ll, grad_mu, w = lik.value_grad_weights(mu)
     return ll, model.design_transpose_apply(grad_mu), w
@@ -769,10 +771,6 @@ class ModeResult:
         return self.operator.logdet
 
     @cached_property
-    def hessian(self) -> np.ndarray:
-        return self.operator.dense()
-
-    @cached_property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the dense Hessian, built on first read
         (posterior draws)."""
@@ -791,12 +789,13 @@ def conditional_mode(
     """Newton/IRLS maximization of loglik + latent log prior at fixed eta.
 
     ``data`` is a ``MortalityDataset`` or a likelihood already built from
-    one (see ``as_likelihood``).  Converges when the gradient max-norm drops
-    below ``_MODE_TOL`` or the relative objective change drops below 1e-12;
-    raises ModeError (with the last iterate attached) on non-convergence in
-    ``_MAX_NEWTON_ITERS`` iterations or a failed line search.
+    one (see ``LatentModel.likelihood``).  Converges when the gradient
+    max-norm drops below ``_MODE_TOL`` or the relative objective change drops
+    below 1e-12; raises ModeError (with the last iterate attached) on
+    non-convergence in ``_MAX_NEWTON_ITERS`` iterations or a failed line
+    search.
     """
-    likelihood = as_likelihood(data)
+    likelihood = model.likelihood(data)
     prior = model.latent_prior(eta)
     xi = model.default_init(likelihood) if init is None else np.array(init, dtype=float)
 
@@ -889,7 +888,7 @@ def laplace_log_marginal(
     """Laplace approximation of the log joint of data and hyperparameters:
     loglik + latent prior at the mode - 1/2 logdet(H) + (dim/2) log 2pi,
     plus the hyperprior log density.  ``data`` is a ``MortalityDataset`` or
-    a likelihood (see ``as_likelihood``)."""
+    a likelihood (see ``LatentModel.likelihood``)."""
     value, _ = _laplace_with_mode(model, eta, data, init=init)
     return value
 
@@ -935,13 +934,13 @@ def optimize_hyperparameters(
     """Maximize the Laplace objective over transformed hyperparameters
     (log precisions, transformed correlations, raw baseline means) with a
     derivative-free simplex search.  ``data`` is a ``MortalityDataset`` or
-    a likelihood (see ``as_likelihood``), resolved once for the whole
-    search.  Deterministic given the initial point; the search makes at most
-    ``budget`` Laplace evaluations, and exhausting it returns the best point
-    with a warning flag."""
+    a likelihood (see ``LatentModel.likelihood``), resolved once for the
+    whole search.  Deterministic given the initial point; the search makes
+    at most ``budget`` Laplace evaluations, and exhausting it returns the
+    best point with a warning flag."""
     from scipy.optimize import minimize  # importing scipy.optimize costs ~0.1 s
 
-    likelihood = as_likelihood(data)
+    likelihood = model.likelihood(data)
     space = model.prior_model
     x0 = space.to_vector(init if init is not None else space.default())
     state: dict = {"best": None, "best_val": -np.inf, "warm": None, "n": 0}
@@ -1044,11 +1043,11 @@ def sample_posterior(
     """Draw latent samples from the Gaussian approximation N(mode, H^-1) at
     the plugged-in hyperparameters; the fit maps them to log rates on read.
     ``data`` is a ``MortalityDataset`` or a likelihood (see
-    ``as_likelihood``); ``mode``, when given, is taken as found at
+    ``LatentModel.likelihood``); ``mode``, when given, is taken as found at
     ``eta_hat``.  The reported log marginal is the Laplace value at that
     mode.
     """
-    likelihood = as_likelihood(data)
+    likelihood = model.likelihood(data)
     if mode is None:
         mode = conditional_mode(model, eta_hat, likelihood)
     return PosteriorFit(
@@ -1080,9 +1079,9 @@ def fit_model(
 ) -> PosteriorFit:
     """Optimize hyperparameters, then sample the posterior; the one-call
     entry point used by the model grid and the CLI.  ``data`` (a dataset
-    or a likelihood, see ``as_likelihood``) is resolved once and passed
-    down to both steps."""
-    likelihood = as_likelihood(data)
+    or a likelihood, see ``LatentModel.likelihood``) is resolved once and
+    passed down to both steps."""
+    likelihood = model.likelihood(data)
     opt = optimize_hyperparameters(model, likelihood, budget=budget, rel_tol=rel_tol)
     fit = sample_posterior(model, opt.eta_hat, likelihood, n=n_samples, seed=seed, mode=opt.mode)
     fit.converged = opt.converged

@@ -24,7 +24,6 @@ from .inference import (
     HyperParameters,
     LatentModel,
     ModeError,
-    as_likelihood,
     conditional_mode,
 )
 
@@ -86,12 +85,12 @@ def mcmc_oracle(
     """Run the sampling oracle and return post-burn-in thinned draws.
 
     ``data`` is a ``MortalityDataset`` or a likelihood already built from
-    one (see ``inference.as_likelihood``).  Intended for small instances
+    one (see ``LatentModel.likelihood``).  Intended for small instances
     (free_dim up to a couple hundred).  Always returns samples; poor mixing
     is flagged through the per-component effective sample sizes rather
     than raised.
     """
-    likelihood = as_likelihood(data)
+    likelihood = model.likelihood(data)
     if model.free_dim > 200:
         logger.warning("mcmc_oracle on free_dim=%d; this is a small-instance oracle", model.free_dim)
 

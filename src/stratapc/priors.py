@@ -3,15 +3,20 @@
 Curvature precisions get exponential priors whose rate is elicited from a
 prediction-interval statement: if the one-step-ahead prediction residual for
 an effect should stay within +-epsilon with probability 1-q, the exponential
-rate is (epsilon / t_{1-q/2, df=2})^2 / 2.  The rate is exactly calibrated
-for a residual with conditional variance 2/tau, because an exponential-rate
-mixture of normals is a scaled Student-t with 2 degrees of freedom.
+rate is (epsilon / t_{1-q/2, df=2})^2 / 2 (``PrecisionElicitation.rate``).
+The rate is exactly calibrated for a residual with conditional variance
+2/tau, because an exponential-rate mixture of normals is a scaled Student-t
+with 2 degrees of freedom.  ``PrecisionElicitation`` holds the one check of
+an elicitation (epsilon positive and finite, q inside (0, 1)), and
+``PriorConfig`` checks its settings by building one per block.
 
 Cross-strata correlations get either a Gaussian prior on a log-odds-like
 transform (exchangeable) or a penalized-complexity prior on the spatial
 mixing weight (bym2).  The population-mean baseline gets an informative
 normal prior; prior-predictive simulation checks that the implied count
-distributions are not absurd.
+distributions are not absurd.  It reads the data through
+``LatentModel.likelihood``, so this module imports nothing from
+``inference`` at runtime.
 """
 
 from __future__ import annotations
@@ -35,23 +40,19 @@ class PrecisionElicitation:
     q: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
 
     @property
     def rate(self) -> float:
-        return elicit_precision_rate(self)
-
-
-def elicit_precision_rate(e: PrecisionElicitation) -> float:
-    """Exponential rate (epsilon / t_{1-q/2, df=2})^2 / 2 for a curvature
-    precision prior.  ``stdtrit`` is the Student-t inverse CDF that
-    ``scipy.stats.t.ppf`` calls, so the rate is the same to the bit without
-    importing ``scipy.stats``."""
-    t_quantile = stdtrit(2, 1.0 - e.q / 2.0)
-    return float((e.epsilon / t_quantile) ** 2 / 2.0)
+        """Exponential rate (epsilon / t_{1-q/2, df=2})^2 / 2 for a curvature
+        precision prior.  ``stdtrit`` is the Student-t inverse CDF that
+        ``scipy.stats.t.ppf`` calls, so the rate is the same to the bit
+        without importing ``scipy.stats``."""
+        t_quantile = stdtrit(2, 1.0 - self.q / 2.0)
+        return float((self.epsilon / t_quantile) ** 2 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,11 @@ class PriorConfig:
     exchangeable_variance: float = 5.0
 
     def __post_init__(self) -> None:
-        for block, eps in self.epsilons.items():
-            if not 0.0 < eps < np.inf:
-                raise ValueError(f"epsilon_{block} must be positive and finite, got {eps!r}")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
+        for block in self.epsilons:
+            try:
+                self.elicitation(block)
+            except ValueError as exc:
+                raise ValueError(f"{block} block: {exc}") from None
         var = self.exchangeable_variance
         if not 0.0 < var < np.inf:
             raise ValueError(f"exchangeable_variance must be positive and finite, got {var!r}")
@@ -273,11 +274,16 @@ class PriorModel:
     structure_kind: str
     tau_blocks: tuple[str, ...]
     rho_blocks: tuple[str, ...]
-    nu0_active: bool
     rates: dict[str, float]
     baseline_mean: BaselineMeanPrior
     exchangeable_variance: float = 5.0
     pc_prior: PCPriorBYM2 | None = None
+
+    @property
+    def nu0_active(self) -> bool:
+        """A baseline with a precision varies across strata, centred on
+        nu0; a shared one has the fixed ``baseline_mean`` prior."""
+        return "baseline" in self.tau_blocks
 
     def logpdf(self, eta: HyperParameters) -> float:
         total = 0.0
@@ -427,14 +433,13 @@ def sample_prior_predictive(
 
     Each replicate draws hyperparameters from the hyperprior (or uses
     ``fixed``), latent coordinates from the matrix-normal priors, and Poisson
-    counts on the observed cells of ``data`` at its exposures.  Replicates
+    counts on the observed cells of ``data`` (of the model's (R, A, T)) at its
+    exposures.  Replicates
     with any log rate above ``_DEGENERATE_LOGRATE`` are flagged degenerate
     and excluded from the extrema, which are compared with the observed
     counts' extrema.
     """
-    from .inference import PoissonLikelihood  # inference imports this module
-
-    lik = PoissonLikelihood(data)
+    lik = model.likelihood(data)
     exposure = lik.exposure[lik.observed]
     seeds = np.random.SeedSequence(seed).spawn(n_sims)
     maxima: list[float] = []

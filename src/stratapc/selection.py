@@ -23,7 +23,6 @@ from .inference import (
     LatentModel,
     ModeError,
     MortalityDataset,
-    PoissonLikelihood,
     PosteriorFit,
     SharingPattern,
     assemble_model,
@@ -93,7 +92,8 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
 
 
 def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
-    """Per-posterior-sample, per-observed-cell Poisson log likelihoods,
+    """Per-posterior-sample, per-observed-cell Poisson log likelihoods of
+    ``data`` (a dataset of the fit's (R, A, T), or its ``PoissonLikelihood``),
     (n_samples, n_observed) in the model's cell order, column-major
     (Fortran order), so that each cell's samples are contiguous for the
     per-cell readers (``waic``).
@@ -105,7 +105,7 @@ def pointwise_loglik(fit: PosteriorFit, data: MortalityDataset) -> np.ndarray:
     (n_samples, R * cells) log-rate matrix is built.
     """
     model = fit.model
-    lik = PoissonLikelihood(data)
+    lik = model.likelihood(data)
     y = lik.y[lik.observed]
     exposure = lik.exposure[lik.observed]
     out = np.empty((fit.n_samples, y.shape[0]), order="F")
@@ -176,7 +176,8 @@ class ModelGridResult:
 @dataclass
 class GridConfig:
     """Settings for one grid run; patterns/structures default to the full
-    sixteen-candidate grid when a graph is available."""
+    sixteen-candidate grid when a graph is available, and an unknown name
+    in either is an error."""
 
     patterns: tuple[str, ...] = field(default_factory=pattern_names)
     structures: tuple[str, ...] = STRUCTURES
@@ -188,6 +189,17 @@ class GridConfig:
     budget: int = 2000
     rel_tol: float = 1e-6
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        for kind, names, known in (
+            ("pattern", self.patterns, pattern_names()),
+            ("structure", self.structures, STRUCTURES),
+        ):
+            unknown = [n for n in names if n not in known]
+            if unknown:
+                raise ValueError(
+                    f"unknown {kind} {', '.join(map(repr, unknown))}; use {', '.join(known)}"
+                )
 
 
 def _entry_specs(data: MortalityDataset, config: GridConfig) -> list[tuple[str, str]]:
@@ -260,7 +272,7 @@ def _fit_entry(
     return entry
 
 
-def fit_grid(data: MortalityDataset, config: GridConfig | None = None) -> ModelGridResult:
+def fit_grid(data: MortalityDataset, config: GridConfig) -> ModelGridResult:
     """Fit every (pattern, structure) candidate and score it by WAIC.
 
     Entry seeds derive from the grid seed in canonical entry order, so the
@@ -268,8 +280,6 @@ def fit_grid(data: MortalityDataset, config: GridConfig | None = None) -> ModelG
     is running when the worker processes are forked: each
     ``_kernels.parallel_map`` joins its threads before it returns.
     """
-    if config is None:
-        config = GridConfig(structures=("independent", "exchangeable"))
     specs = _entry_specs(data, config)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(len(specs))]
     if config.workers > 1:

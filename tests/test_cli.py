@@ -392,6 +392,7 @@ class TestUsage:
             ({}, [*FIT, "--seed", "-1"], "--seed"),
             ({}, ["grid", "--structures", "bym2"], "bym2"),
             ({}, ["grid", "--structures", "independent,bym2"], "bym2"),
+            ({}, ["fit", "--pattern", "M4", "--structure", "bym2"], "--graph"),
             ({"priors": {"q": 1.5}}, FIT, "error: config field 'priors'"),
             ({"priors": {"epsilon_age": 0}}, FIT, "error: config field 'priors'"),
             ({"priors": {"exchangeable_variance": -2}}, FIT, "error: config field 'priors'"),
@@ -399,6 +400,7 @@ class TestUsage:
         ids=[
             "n_samples=1", "n_samples=-5", "budget=0", "rel_tol=-1", "rel_tol=inf",
             "seed=-1", "--seed=-1", "grid-bym2-no-graph", "grid-bym2-among-others",
+            "fit-bym2-no-graph",
             "q=1.5", "epsilon_age=0", "exchangeable_variance=-2",
         ],
     )

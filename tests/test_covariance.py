@@ -123,6 +123,11 @@ class TestICAR:
         assert np.linalg.matrix_rank(q) == 5 - 3
         assert g.n_components == 3
 
+    def test_component_labels_in_order_of_first_stratum(self):
+        g = AdjacencyGraph.from_edges(7, [(0, 1), (2, 3), (3, 4)])
+        assert g.component_labels().tolist() == [0, 0, 1, 1, 1, 2, 3]
+        assert g.n_components == 4
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             AdjacencyGraph.from_edges(3, [(1, 1)])

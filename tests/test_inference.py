@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from stratapc.inference import (
     sample_posterior,
 )
 from stratapc.mcmc import mcmc_oracle
+from stratapc.priors import sample_prior_predictive
+from stratapc.selection import pointwise_loglik
 from tests._stand_ins import GaussianPseudoLikelihood
 
 
@@ -63,10 +66,8 @@ class TestSharingPattern:
     def test_unknown(self):
         with pytest.raises(ValueError):
             SharingPattern.from_name("M7")
-
-    def test_mismatched_set(self):
-        with pytest.raises(ValueError):
-            SharingPattern(name="M5", shared=frozenset({"age"}))
+        with pytest.raises(ValueError, match="'m4'"):
+            SharingPattern("m4")  # from_name is the case-insensitive constructor
 
 
 class TestAssembly:
@@ -594,7 +595,7 @@ class TestSamplePosterior:
         eta = model.prior_model.default()
         mode = conditional_mode(model, eta, ds)
         fit = sample_posterior(model, eta, ds, n=10000, seed=9, mode=mode)
-        cov = np.linalg.inv(mode.hessian)
+        cov = np.linalg.inv(mode.operator.dense())
         sd = np.sqrt(np.diag(cov))
         mc_err = 3 * sd / np.sqrt(fit.n_samples)
         assert np.all(np.abs(fit.samples.mean(axis=0) - mode.xi) <= 4 * mc_err + 1e-12)
@@ -682,9 +683,45 @@ DATA_ENTRY_POINTS = {
 }
 
 
+# (R, A, T) of a model and of a dataset with as many cells, or on its grid
+MISMATCHED_SHAPES = [((2, 4, 6), (2, 6, 4)), ((2, 4, 4), (3, 4, 4))]
+MISMATCH_IDS = ["4x6-vs-6x4", "R2-vs-R3"]
+
+
+def ones_dataset(shape):
+    return MortalityDataset.from_arrays(np.ones(shape), np.full(shape, 1e3))
+
+
+def mismatched(model_shape, data_shape, form="dataset"):
+    """A model of ``model_shape`` and a dataset (or its likelihood) of
+    ``data_shape``."""
+    r, a, t = model_shape
+    model = assemble_model(GridSpec(a, t), r, "M5", "independent")
+    ds = ones_dataset(data_shape)
+    return model, PoissonLikelihood(ds) if form == "likelihood" else ds
+
+
+def shape_message(model_shape, data_shape):
+    return re.escape(f"data has (R, A, T) = {data_shape}, the model {model_shape}")
+
+
+def _pointwise_loglik(model, data):
+    fitted_on = ones_dataset((model.n_strata, model.grid.n_age, model.grid.n_period))
+    return pointwise_loglik(sample_posterior(model, model.prior_model.default(), fitted_on, n=2), data)
+
+
+# the posterior and prior readers that take a dataset besides a model or fit
+DATA_READERS = {
+    "poisson_loglik": lambda model, data: poisson_loglik(np.zeros(model.free_dim), model, data),
+    "pointwise_loglik": _pointwise_loglik,
+    "sample_prior_predictive": lambda model, data: sample_prior_predictive(model, data, 2, 0),
+}
+
+
 class TestDataArgument:
     """``data`` is a dataset or a likelihood already built from it, and
-    both give the same bits; anything else is a TypeError."""
+    both give the same bits; anything else is a TypeError, and a dataset
+    or ``PoissonLikelihood`` of another (R, A, T) a ValueError."""
 
     @pytest.mark.filterwarnings("ignore:hyperparameter search stopped")
     @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
@@ -702,3 +739,25 @@ class TestDataArgument:
         model = assemble_model(GridSpec(4, 4), 2, "M5", "independent")
         with pytest.raises(TypeError, match="data must be a MortalityDataset"):
             DATA_ENTRY_POINTS[entry](model, model.prior_model.default(), bad)
+
+    @pytest.mark.parametrize("form", ["dataset", "likelihood"])
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
+    @pytest.mark.parametrize("model_shape, data_shape", MISMATCHED_SHAPES, ids=MISMATCH_IDS)
+    def test_other_shape_is_rejected(self, entry, model_shape, data_shape, form):
+        model, data = mismatched(model_shape, data_shape, form)
+        with pytest.raises(ValueError, match=shape_message(model_shape, data_shape)):
+            DATA_ENTRY_POINTS[entry](model, model.prior_model.default(), data)
+
+    @pytest.mark.parametrize("form", ["dataset", "likelihood"])
+    @pytest.mark.parametrize("reader", DATA_READERS)
+    @pytest.mark.parametrize("model_shape, data_shape", MISMATCHED_SHAPES, ids=MISMATCH_IDS)
+    def test_readers_reject_other_shape(self, reader, model_shape, data_shape, form):
+        model, data = mismatched(model_shape, data_shape, form)
+        with pytest.raises(ValueError, match=shape_message(model_shape, data_shape)):
+            DATA_READERS[reader](model, data)
+
+    def test_interval_width_is_not_compared(self, rng):
+        ds, _ = toy_dataset(rng, grid=GridSpec(4, 4, interval_width=1.0), n_strata=2)
+        model = assemble_model(GridSpec(4, 4, interval_width=5.0), 2, "M5", "independent")
+        assert isinstance(model.likelihood(ds), PoissonLikelihood)
+

@@ -20,7 +20,6 @@ from stratapc.priors import (
     PriorConfig,
     default_baseline_mean_prior,
     dzeta_drho,
-    elicit_precision_rate,
     rho_from_zeta,
     sample_prior_predictive,
     zeta_from_rho,
@@ -42,12 +41,12 @@ class TestElicitation:
         ],
     )
     def test_rates(self, eps, expected):
-        rate = elicit_precision_rate(PrecisionElicitation(epsilon=eps, q=0.05))
+        rate = PrecisionElicitation(epsilon=eps, q=0.05).rate
         assert rate == pytest.approx(expected, rel=5e-4)
 
     def test_rate_positive_and_monotone(self):
-        r1 = elicit_precision_rate(PrecisionElicitation(np.log(1.01)))
-        r2 = elicit_precision_rate(PrecisionElicitation(np.log(1.2)))
+        r1 = PrecisionElicitation(np.log(1.01)).rate
+        r2 = PrecisionElicitation(np.log(1.2)).rate
         assert 0 < r1 < r2
 
     def test_domain(self):
@@ -56,6 +55,18 @@ class TestElicitation:
         with pytest.raises(ValueError):
             PrecisionElicitation(epsilon=0.1, q=1.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"positive and finite, got {eps!r}"):
+            PrecisionElicitation(epsilon=eps)
+
+    def test_prior_config_checks_through_its_elicitations(self):
+        epsilons = {**PriorConfig().epsilons, "cohort": float("nan")}
+        with pytest.raises(ValueError, match="cohort block: epsilon must be positive and finite"):
+            PriorConfig(epsilons=epsilons)
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\), got nan"):
+            PriorConfig(q=float("nan"))
+
     @pytest.mark.parametrize("q", [1e-6, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])
     def test_rate_is_the_scipy_stats_formula_to_the_bit(self, q):
         # the formula as written with scipy.stats, which the package no
@@ -63,7 +74,7 @@ class TestElicitation:
         for eps in (1e-4, np.log(1.01), np.log(1.1), np.log(1.2), 0.5, 3.0):
             e = PrecisionElicitation(epsilon=eps, q=q)
             expected = float((eps / sstats.t.ppf(1.0 - q / 2.0, df=2)) ** 2 / 2.0)
-            assert elicit_precision_rate(e) == expected
+            assert e.rate == expected
 
     def test_mixture_identity_quick(self):
         # full-size Monte Carlo runs in the acceptance suite

@@ -100,6 +100,17 @@ class TestFitGrid:
         with pytest.raises(ValueError, match="graph"):
             fit_grid(ds, quick_grid_config(structures=("independent", "bym2")))
 
+    @pytest.mark.parametrize(
+        "names, unknown",
+        [({"patterns": ("M9", "M4")}, "pattern 'M9'"),
+         ({"patterns": ("m4",)}, "pattern 'm4'"),
+         ({"structures": ("exchangable",)}, "structure 'exchangable'")],
+    )
+    def test_unknown_names_rejected(self, names, unknown):
+        # before, each was dropped and the grid fitted the names it knew
+        with pytest.raises(ValueError, match=f"unknown {unknown}; use "):
+            GridConfig(**names)
+
     def test_ranking_invariant_to_fit_order(self, rng):
         ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M4", seed=5, exposure=1e4)
         config = quick_grid_config(patterns=("M1", "M4", "M5"), n_samples=150, budget=100)
