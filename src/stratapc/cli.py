@@ -405,7 +405,6 @@ def _cmd_prior_check(args) -> int:
 
 def _cmd_hindcast(args) -> int:
     config, dataset, fit_config, meta = _load(args)
-    out = _outdir(args.out)
     if fit_config.n_samples < MIN_PIT_SAMPLES:
         raise UsageError(
             f"hindcast PIT needs inference.n_samples >= {MIN_PIT_SAMPLES}, "
@@ -424,6 +423,7 @@ def _cmd_hindcast(args) -> int:
     mask[r, :, j_from:j_to] = dataset.observed[r, :, j_from:j_to]
     if not mask.any():
         raise UsageError("mask selects no observed cells")
+    out = _outdir(args.out)
     train = MortalityDataset(
         counts=np.where(mask, 0.0, dataset.counts),
         exposures=np.where(mask, 0.0, dataset.exposures),

@@ -3,8 +3,9 @@
 A latent model stacks one canonical design per stratum, with parameter
 blocks (baseline, age, period, cohort curvatures) either shared across
 strata or stratum-specific with a matrix-normal prior.  Inference is
-empirical-Bayes: a Newton/IRLS conditional mode and Gaussian (Laplace)
-approximation of the latent field at each hyperparameter value, a
+empirical-Bayes: a Newton/IRLS conditional mode, cold-started by one
+penalized weighted least-squares solve (``LatentModel.default_init``), and
+its Gaussian (Laplace) approximation at each hyperparameter value, a
 derivative-free simplex search maximizing the Laplace approximation of the
 hyperparameter posterior, and Gaussian posterior sampling at the optimum.
 ``mcmc.py`` provides a sampling oracle for validating this pipeline on
@@ -465,31 +466,22 @@ class LatentModel:
 
     # ------------------------------------------------------------------
 
-    def default_init(self, likelihood) -> np.ndarray:
-        """Zero start, with baseline coordinates seeded from the crude rate
-        log(sum y / sum N) over the observed baseline cells of a
-        ``PoissonLikelihood`` (prior mean when those cells hold no death or
-        are all missing, and for any other likelihood).  sum N is taken in
-        log space, so exposures summing past the float range still give a
-        finite rate."""
-        xi = np.zeros(self.free_dim)
-        offset, length, shared = self.blocks["baseline"]
-        cells = self.grid.n_cells
-        b_rows = self.parts.baseline_rows
-        # a shared baseline takes one crude rate over all strata
-        groups = [range(self.n_strata)] if shared else [[r] for r in range(self.n_strata)]
-        for k, strata in enumerate(groups):
-            start = self.prior_model.baseline_mean.mean
-            if isinstance(likelihood, PoissonLikelihood):
-                rows = np.concatenate([r * cells + b_rows for r in strata])
-                use = rows[likelihood.observed[rows]]
-                ysum = float(likelihood.y[use].sum())
-                if ysum > 0:  # observed exposures are positive
-                    log_n = np.log(likelihood.exposure[use])
-                    level = np.log(ysum) - _kernels.logsumexp_columns(log_n[:, None])[0]
-                    start = np.array([float(level), 0.0, 0.0])
-            xi[offset + k * length : offset + (k + 1) * length] = start
-        return xi
+    def default_init(self, likelihood, prior: LatentPrior) -> np.ndarray:
+        """The Newton mode's cold start: for a ``PoissonLikelihood`` the
+        penalized weighted least-squares solve (M'WM + Q) xi = M'W z + Q m from
+        the saturated model, W = y + 1/2 and z = log(y + 1/2) - log N on the
+        observed cells (zero weight elsewhere), Q and m the prior's precision
+        and mean; the prior mean for any other likelihood.  z is a difference
+        of logs, finite where y / N is not.  Raises ``LinAlgError`` when the
+        system does not factor."""
+        if not isinstance(likelihood, PoissonLikelihood):
+            return prior.mean.copy()
+        obs = likelihood.observed
+        w, wz = np.zeros(self.n_cells), np.zeros(self.n_cells)
+        w[obs] = likelihood.y[obs] + 0.5
+        wz[obs] = w[obs] * (np.log(w[obs]) - np.log(likelihood.exposure[obs]))
+        rhs = self.design_transpose_apply(wz) + prior.grad(np.zeros(self.free_dim))
+        return StructuredHessian(self, self.weighted_gram(w), prior).solve(rhs)
 
 
 def assemble_model(
@@ -692,7 +684,9 @@ class StructuredHessian:
         # W_r = L_r^-1 [H_lm, B_r], H_lm holding -q at (j, slot of j)
         l_pos_rho = l_inv[:, :, pos_rho]
         self.w = np.concatenate([-l_pos_rho * q_m, l_inv @ grams[:, lc[:, None], gc]], axis=2)
-        s = -(self.w.swapaxes(1, 2) @ self.w).sum(axis=0)
+        # only the (s, m) and (s, s) rows of -sum_r W_r'W_r: S_mm is formed below
+        s = np.empty((n_m + n_s, n_m + n_s))
+        s[n_m:] = -(self.w[:, :, n_m:].swapaxes(1, 2) @ self.w).sum(axis=0)
         s[n_m:, n_m:] += glob
         if n_m:
             # S_mm = diag(h_mm) - sum_r q K_r^-1 q, written as
@@ -700,6 +694,7 @@ class StructuredHessian:
             k_inv_g = (l_pos_rho.swapaxes(1, 2) @ (l_inv @ g_loc[:, :, pos_rho])).sum(axis=0)
             k_inv_g *= q_m[:, None]
             s[:n_m, :n_m] = np.diag(d[pos_rho] / rho[pos_rho]) + 0.5 * (k_inv_g + k_inv_g.T)
+            s[:n_m, n_m:] = s[n_m:, :n_m].T
         self.l_s = _factor(s) if s.shape[0] else None
         if self.l_s is not None:
             self.logdet += _logdet(self.l_s)
@@ -797,7 +792,10 @@ def conditional_mode(
     """
     likelihood = model.likelihood(data)
     prior = model.latent_prior(eta)
-    xi = model.default_init(likelihood) if init is None else np.array(init, dtype=float)
+    try:
+        xi = model.default_init(likelihood, prior) if init is None else np.array(init, dtype=float)
+    except sla.LinAlgError:
+        raise ModeError("Hessian factorization failed at the start") from None
 
     def evaluate(x: np.ndarray):
         ll, grad_mu, w = likelihood.value_grad_weights(model.logrates_flat(x))

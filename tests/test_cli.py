@@ -104,13 +104,13 @@ class TestFit:
 
     def test_numerical_failure_exit_2(self, tmp_path, capsys, recwarn):
         # a true rate of 1e400 is beyond float range: the likelihood
-        # overflows at the crude-rate start, so no point can be evaluated
+        # overflows at the start, so no point can be evaluated
         assert fit_one_stratum(tmp_path, "1e200", "1e-200") == 2
         assert "Laplace objective is not finite at the initial point" in capsys.readouterr().err
         assert not [w for w in recwarn if "encountered in" in str(w.message)]
 
     def test_exposures_past_float_range_fit(self, tmp_path, recwarn):
-        # the exposures sum past the float range; the crude rate is taken in log space
+        # the exposures sum past the float range; the start is taken in log space
         assert fit_one_stratum(tmp_path, "1000000", "1e308") == 0
         assert not [w for w in recwarn if any(m in str(w.message) for m in ("divide", "overflow"))]
 
@@ -379,6 +379,7 @@ class TestUsage:
         assert err.startswith("error:") and "n_samples" in err
 
     FIT = ["fit", "--pattern", "M4", "--structure", "independent"]
+    HINDCAST = ["hindcast", "--pattern", "M4", "--structure", "independent", "--mask-stratum", "s1"]
 
     @pytest.mark.parametrize(
         "config, command, field",
@@ -396,12 +397,19 @@ class TestUsage:
             ({"priors": {"q": 1.5}}, FIT, "error: config field 'priors'"),
             ({"priors": {"epsilon_age": 0}}, FIT, "error: config field 'priors'"),
             ({"priors": {"exchangeable_variance": -2}}, FIT, "error: config field 'priors'"),
+            (
+                {"inference": {"n_samples": 60}},
+                [*HINDCAST, "--mask-year-from", "0", "--mask-year-to", "3"],
+                "inference.n_samples",
+            ),
+            ({}, [*HINDCAST, "--mask-year-from", "3", "--mask-year-to", "3"], "mask year range"),
         ],
         ids=[
             "n_samples=1", "n_samples=-5", "budget=0", "rel_tol=-1", "rel_tol=inf",
             "seed=-1", "--seed=-1", "grid-bym2-no-graph", "grid-bym2-among-others",
             "fit-bym2-no-graph",
             "q=1.5", "epsilon_age=0", "exchangeable_variance=-2",
+            "hindcast-n_samples=60", "hindcast-empty-year-range",
         ],
     )
     def test_bad_setting_rejected_before_fitting(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import stats as sstats
-from scipy.special import logsumexp
 
 from stratapc import inference
 from stratapc.core import (
@@ -138,22 +137,66 @@ class TestAssembly:
 SKEWED = BaselineSpec("age-period", ((1, 1), (3, 2), (2, 3)))
 
 
+def sparse_dataset(n_strata, grid):
+    """A small-exposure set with zero counts and a few missing cells."""
+    ds, _ = simulate_dataset(
+        grid, n_strata, pattern="M4", structure="exchangeable", exposure=300.0, seed=11
+    )
+    observed = ds.observed.copy()
+    observed[0, 1, 2] = observed[n_strata - 1, 3, 0] = observed[1, 0, 4] = False
+    counts = np.where(observed, ds.counts, np.nan)
+    return MortalityDataset(counts, ds.exposures, observed, grid, ds.strata)
+
+
+def perfbench_surface():
+    """The 17x18, R = 5 surface the end-to-end benchmark fits: counts drawn
+    at seed 8 from the exchangeable M4 truth simulated at seed 8."""
+    grid = GridSpec(n_age=17, n_period=18, interval_width=1.0)
+    surface, truth = simulate_dataset(
+        grid, 5, pattern="M4", structure="exchangeable", exposure=1e5, seed=8
+    )
+    counts = np.random.default_rng(8).poisson(surface.exposures * np.exp(truth.logrates))
+    return MortalityDataset(
+        counts.astype(float), surface.exposures, surface.observed, grid, surface.strata
+    )
+
+
 class TestDefaultInit:
-    @pytest.mark.parametrize("pattern", ["M5", "M6"])  # shared baseline, one per stratum
-    def test_crude_rate_is_scipys_logsumexp(self, pattern, rng):
-        # the crude rate log(sum y) - logsumexp(log N) over each baseline
-        # group's observed cells, with the bits of scipy's logsumexp
-        ds, _ = toy_dataset(rng, n_strata=3, exposure=1e4)
-        model = assemble_model(ds.grid, 3, pattern, "independent")
+    @pytest.mark.parametrize("pattern", ["M4", "M5", "M6"])
+    @pytest.mark.parametrize("kind", ["independent", "exchangeable", "bym2"])
+    def test_start_solves_the_dense_normal_equations(self, pattern, kind):
+        # (M'WM + Q) xi = M'W z + Q m, W = y + 1/2 and z = log(y + 1/2) - log N
+        # on the observed cells
+        grid = GridSpec(5, 6)
+        ds = sparse_dataset(4, grid)
         lik = PoissonLikelihood(ds)
-        offset, length, shared = model.blocks["baseline"]
-        groups = [range(3)] if shared else [[r] for r in range(3)]
-        xi = model.default_init(lik)
-        for k, strata in enumerate(groups):
-            rows = np.concatenate([r * ds.grid.n_cells + model.parts.baseline_rows for r in strata])
-            use = rows[lik.observed[rows]]
-            level = np.log(lik.y[use].sum()) - logsumexp(np.log(lik.exposure[use]))
-            assert xi[offset + k * length] == level
+        assert np.any(lik.y[lik.observed] == 0) and not lik.observed.all()
+        model = prior_model(4, pattern, kind, grid=grid)
+        prior = model.latent_prior(off_default_eta(model))
+        xi = model.default_init(lik, prior)
+        w = np.where(lik.observed, lik.y + 0.5, 0.0)
+        z = np.zeros_like(w)
+        z[lik.observed] = np.log(w[lik.observed]) - np.log(lik.exposure[lik.observed])
+        h = model.dense_gram(model.weighted_gram(w)) + prior.precision
+        rhs = model.design_transpose_apply(w * z) + prior.precision @ prior.mean
+        expected = np.linalg.solve(h, rhs)
+        assert np.max(np.abs(xi - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    def test_other_likelihoods_start_at_the_prior_mean(self, rng):
+        model = assemble_model(GridSpec(4, 4), 2, "M6", "exchangeable")
+        prior = model.latent_prior(off_default_eta(model))
+        lik = GaussianPseudoLikelihood(rng.normal(size=model.n_cells), 0.3)
+        assert np.array_equal(model.default_init(lik, prior), prior.mean)
+
+    def test_cold_mode_takes_few_newton_iterations(self):
+        # a crude-rate start (the baseline level alone) takes 11-12 here
+        ds = perfbench_surface()
+        candidates = [(p, k) for r, p, k in prior_candidates() if r == 5]
+        assert len(candidates) == 16
+        for pattern, kind in candidates:
+            model = prior_model(5, pattern, kind, grid=ds.grid)
+            mode = conditional_mode(model, model.prior_model.default(), data=ds)
+            assert mode.n_iter <= 6, (pattern, kind, mode.n_iter)
 
 
 class TestWeightedGram:

@@ -168,7 +168,6 @@ class TestLogsumexpColumns:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 129, 3000])
     def test_one_column_equals_scipy_on_the_vector(self, n, rng):
-        # default_init's crude rate: a log-sum-exp of one vector
         x = np.log(rng.uniform(1.0, 1e6, size=n))
         assert _kernels.logsumexp_columns(x[:, None])[0] == logsumexp(x)
 
@@ -256,19 +255,25 @@ class TestOverflow:
         assert ll == -np.inf
 
     def test_mode_is_unchanged_with_warnings_as_errors(self, caplog):
-        # on this surface Newton steps from the default start overshoot
-        # into exp overflow, as on the posterior benchmark surface
+        # on this surface Newton steps from a crude-rate start (the log of
+        # summed deaths over summed exposure of the baseline cells on the
+        # baseline coordinate, zeros elsewhere) overshoot into exp overflow
         grid = GridSpec(n_age=17, n_period=18, interval_width=1.0)
         ds, truth = simulate_dataset(
             grid, 3, pattern="M4", structure="exchangeable", exposure=1e5, seed=8
         )
         model = assemble_model(grid, 3, "M4", "exchangeable")
+        lik = PoissonLikelihood(ds)
+        rows = (grid.n_cells * np.arange(3)[:, None] + model.parts.baseline_rows).ravel()
+        rows = rows[lik.observed[rows]]
+        init = np.zeros(model.free_dim)
+        init[model.blocks["baseline"][0]] = np.log(lik.y[rows].sum() / lik.exposure[rows].sum())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            quiet = conditional_mode(model, truth.eta, data=ds)
+            quiet = conditional_mode(model, truth.eta, data=ds, init=init)
         with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="stratapc.inference"):
             warnings.simplefilter("error")
-            strict = conditional_mode(model, truth.eta, data=ds)
+            strict = conditional_mode(model, truth.eta, data=ds, init=init)
         assert np.array_equal(strict.xi, quiet.xi)
         assert strict.objective == quiet.objective and strict.n_iter == quiet.n_iter
         rejected = [r for r in caplog.records if "not finite" in r.getMessage()]

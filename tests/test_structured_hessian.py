@@ -107,7 +107,7 @@ def dense_mode(model, eta, likelihood, tol=1e-8, max_iter=100, max_halvings=30):
     """The Newton iteration of ``conditional_mode`` with dense solves; returns
     the mode and the Laplace log-marginal from the dense log-determinant."""
     prior = model.latent_prior(eta)
-    xi = model.default_init(likelihood)
+    xi = model.default_init(likelihood, prior)
 
     def evaluate(x):
         ll, grad_mu, w = likelihood.value_grad_weights(model.logrates_flat(x))
@@ -151,9 +151,9 @@ def operator_case(n_strata, pattern, kind, value):
     eta = eta_at(model, value)
     likelihood = PoissonLikelihood(dataset(n_strata))
     rng = np.random.default_rng(1)
-    xi = model.default_init(likelihood) + 0.05 * rng.normal(size=model.free_dim)
-    _, _, w = likelihood.value_grad_weights(model.logrates_flat(xi))
     prior = model.latent_prior(eta)
+    xi = model.default_init(likelihood, prior) + 0.05 * rng.normal(size=model.free_dim)
+    _, _, w = likelihood.value_grad_weights(model.logrates_flat(xi))
     op = StructuredHessian(model, model.weighted_gram(w), prior)
     return model, eta, likelihood, op, dense_hessian(model, w, prior)
 
@@ -220,9 +220,9 @@ def test_logdet_at_the_clip_matches_extended_precision(pattern, zeta):
     model = model_for(3, pattern, "exchangeable", grid=grid)
     eta = eta_at(model, zeta)
     likelihood = PoissonLikelihood(ds)
-    xi = model.default_init(likelihood)
-    _, _, w = likelihood.value_grad_weights(model.logrates_flat(xi))
     prior = model.latent_prior(eta)
+    xi = model.default_init(likelihood, prior)
+    _, _, w = likelihood.value_grad_weights(model.logrates_flat(xi))
     grams = model.weighted_gram(w)
     op = StructuredHessian(model, grams, prior)
     with mpmath.workdps(40):
