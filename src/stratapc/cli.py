@@ -154,13 +154,6 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
     seed = config.fit.seed if args.seed is None else args.seed
     raw = read_series_csv(args.data)
     dataset, agg_report = aggregate(raw, config.window)
-    graph = None
-    if args.graph:
-        graph, _ = load_graph(args.graph, strata=dataset.strata)
-    # the structures named by --structure, or by grid's --structures
-    elif "bym2" in (getattr(args, "structure", None) or args.structures or "").split(","):
-        raise UsageError("structure bym2 requires --graph")
-    fit_config = dataclasses.replace(config.fit, seed=seed, graph=graph)
     meta = {
         "provenance": provenance(config.canonical_dict(), seed),
         "aggregation": {
@@ -171,6 +164,15 @@ def _load(args) -> tuple[RunConfig, MortalityDataset, GridConfig, dict]:
         },
         "seed": seed,
     }
+    graph = None
+    if args.graph:
+        graph, report = load_graph(args.graph, strata=dataset.strata)
+        # the graph's audit; its strata are already listed under "aggregation"
+        meta["graph"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "strata"}
+    # the structures named by --structure, or by grid's --structures
+    elif "bym2" in (getattr(args, "structure", None) or args.structures or "").split(","):
+        raise UsageError("structure bym2 requires --graph")
+    fit_config = dataclasses.replace(config.fit, seed=seed, graph=graph)
     return config, dataset, fit_config, meta
 
 
@@ -316,6 +318,7 @@ def _cmd_fit(args) -> int:
             "eta_hat": _eta_jsonable(fit.eta_hat),
             "log_marginal": fit.log_marginal,
             "converged": fit.converged,
+            "waic_excluded_cells": score.flagged_cells.size,
             "waic": score.waic,
             "lppd": score.lppd,
             "p_waic": score.p_waic,
@@ -339,20 +342,17 @@ def _cmd_grid(args) -> int:
     _, dataset, grid_config, meta = _load(args)
     grid_config = _subset(grid_config, "--models", args.models, "patterns")
     grid_config = _subset(grid_config, "--structures", args.structures, "structures")
-    structures = grid_config.structures
-    if grid_config.graph is None:  # _load rejected bym2 named by --structures
-        structures = tuple(s for s in structures if s != "bym2")
     out = _outdir(args.out)
-    grid_config = dataclasses.replace(grid_config, structures=structures, workers=args.workers)
-    result = fit_grid(dataset, grid_config)
+    result = fit_grid(dataset, dataclasses.replace(grid_config, workers=args.workers))
     rows = [
         (e["pattern"], e["structure"], e["waic"], e["lppd"], e["p_waic"],
-         int(e["converged"]), e["error"])
+         int(e["converged"]), e["waic_excluded_cells"], e["error"])
         for e in result.table_rows()
     ]
     write_csv(
         out / "grid.csv",
-        ["pattern", "structure", "waic", "lppd", "p_waic", "converged", "error"],
+        ["pattern", "structure", "waic", "lppd", "p_waic", "converged",
+         "waic_excluded_cells", "error"],
         rows,
     )
     best = next((e for e in result.ranked() if e.ok), None)

@@ -9,13 +9,14 @@ materializing the Kronecker product.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field
 from typing import Literal, get_args
 
 import numpy as np
 import scipy.linalg as sla
 
+logger = logging.getLogger(__name__)
 StructureKind = Literal["independent", "exchangeable", "bym2"]
 STRUCTURES: tuple[StructureKind, ...] = get_args(StructureKind)
 
@@ -180,10 +181,9 @@ def scaled_generalized_inverse(q: np.ndarray) -> np.ndarray:
             "exactly one, i.e. a single connected component"
         )
     if eigvals[1] < 1e-8 * eigvals.max():
-        warnings.warn(
+        logger.warning(
             "second-smallest ICAR eigenvalue is nearly zero; the scaled "
-            "generalized inverse is ill-conditioned",
-            RuntimeWarning,
+            "generalized inverse is ill-conditioned"
         )
     inv_vals = np.zeros_like(eigvals)
     keep = eigvals > cutoff

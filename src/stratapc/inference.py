@@ -33,7 +33,6 @@ platform.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -519,7 +518,6 @@ def assemble_model(
         )
     scaled_qinv = None
     if structure.kind == "bym2":
-        assert structure.graph is not None
         if structure.graph.n_strata != n_strata:
             raise ValueError(
                 f"graph covers {structure.graph.n_strata} strata, data has {n_strata}"
@@ -935,7 +933,7 @@ def optimize_hyperparameters(
     a likelihood (see ``LatentModel.likelihood``), resolved once for the
     whole search.  Deterministic given the initial point; the search makes
     at most ``budget`` Laplace evaluations, and exhausting it returns the
-    best point with a warning flag."""
+    best point with ``converged`` False."""
     from scipy.optimize import minimize  # importing scipy.optimize costs ~0.1 s
 
     likelihood = model.likelihood(data)
@@ -981,10 +979,10 @@ def optimize_hyperparameters(
     )
     converged = bool(res.success)
     if not converged:
-        warnings.warn(
-            f"hyperparameter search stopped after {state['n']} evaluations "
-            "without meeting the tolerance; returning the best point",
-            RuntimeWarning,
+        logger.warning(
+            "%s/%s: hyperparameter search stopped after %d evaluations without meeting "
+            "the tolerance; returning the best point",
+            model.pattern.name, model.structure.kind, state["n"],
         )
     best_x, best_mode = state["best"]
     return OptimizationResult(
@@ -1007,7 +1005,7 @@ class PosteriorFit:
     samples: np.ndarray           # (n, free_dim)
     log_marginal: float
     seed: int
-    converged: bool = True
+    converged: bool | None = None  # the search's flag; None when no search ran
 
     @property
     def n_samples(self) -> int:

@@ -2,14 +2,15 @@
 
 The candidate grid crosses the six sharing patterns with the cross-strata
 structures: the fully shared pattern is fit once (it admits no structure),
-every other pattern under independent, exchangeable and, when an adjacency
-graph is supplied, bym2 -- sixteen candidates in the full grid.  Entries fit
-independently; per-entry failures are recorded without aborting the grid.
+every other pattern under independent, exchangeable and bym2 -- sixteen
+candidates in the full grid.  Entries fit independently; per-entry failures,
+such as a bym2 entry without an adjacency graph, are recorded without
+aborting the grid.
 """
 
 from __future__ import annotations
 
-import warnings
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,6 +32,8 @@ from .inference import (
 )
 from .priors import PriorConfig
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class WaicResult:
@@ -50,8 +53,8 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     lppd sums log mean predictive density per cell (log-sum-exp for
     stability); the penalty is the per-cell sample variance of the log
     likelihood; waic = -2 (lppd - p_waic).  Cells with non-finite entries
-    (e.g. all-zero predictive mass) are flagged, excluded from the sums, and
-    reported.
+    (e.g. all-zero predictive mass) are excluded from the sums and returned
+    as ``flagged_cells``.
 
     Both terms are per cell, so they are computed over column blocks, one
     ``_kernels.parallel_map`` task each, with ``_kernels.logsumexp_columns``.
@@ -80,10 +83,7 @@ def waic(loglik_samples: np.ndarray) -> WaicResult:
     _kernels.parallel_map(column_block, _kernels.blocks(cells, n))
     flagged = np.flatnonzero(~finite)
     if flagged.size:
-        warnings.warn(
-            f"{flagged.size} cells with non-finite log likelihoods excluded from WAIC",
-            RuntimeWarning,
-        )
+        logger.warning("%d cells with non-finite log likelihoods excluded from WAIC", flagged.size)
     lppd = float(np.sum(lse[finite] - np.log(n)))
     p_waic = float(np.sum(var[finite]))
     return WaicResult(
@@ -135,6 +135,7 @@ class GridEntry:
     lppd: float = np.nan
     p_waic: float = np.nan
     converged: bool = False
+    waic_excluded_cells: int = 0
     fit: PosteriorFit | None = None
     error: str | None = None
 
@@ -167,6 +168,7 @@ class ModelGridResult:
                 "lppd": e.lppd,
                 "p_waic": e.p_waic,
                 "converged": e.converged,
+                "waic_excluded_cells": e.waic_excluded_cells,
                 "error": e.error or "",
             }
             for e in self.ranked()
@@ -176,8 +178,8 @@ class ModelGridResult:
 @dataclass
 class GridConfig:
     """Settings for one grid run; patterns/structures default to the full
-    sixteen-candidate grid when a graph is available, and an unknown name
-    in either is an error."""
+    sixteen-candidate grid, and an unknown name in either is an error.
+    Without a graph, each bym2 entry fails in its own entry."""
 
     patterns: tuple[str, ...] = field(default_factory=pattern_names)
     structures: tuple[str, ...] = STRUCTURES
@@ -204,8 +206,6 @@ class GridConfig:
 
 def _entry_specs(data: MortalityDataset, config: GridConfig) -> list[tuple[str, str]]:
     structures = tuple(s for s in STRUCTURES if s in config.structures)
-    if "bym2" in structures and config.graph is None:
-        raise ValueError("bym2 entries require an adjacency graph")
     specs: list[tuple[str, str]] = []
     for name in pattern_names():
         if name not in config.patterns:
@@ -266,6 +266,7 @@ def _fit_entry(
         score = waic(pointwise_loglik(fit, data))
         entry.waic, entry.lppd, entry.p_waic = score.as_tuple()
         entry.converged = fit.converged
+        entry.waic_excluded_cells = score.flagged_cells.size
         entry.fit = fit
     except (ModeError, ValueError, sla.LinAlgError) as exc:
         entry.error = f"{type(exc).__name__}: {exc}"

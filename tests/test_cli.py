@@ -74,6 +74,8 @@ class TestFit:
         summary = json.loads((out / "fit.json").read_text())
         assert summary["converged"] is True
         assert np.isfinite(summary["waic"])
+        assert summary["waic_excluded_cells"] == 0
+        assert "graph" not in summary
         env = summary["provenance"]["environment"]
         assert env["cores"] >= 1
         assert set(env["openblas_threads"].values()) <= {1}  # the import-time pin
@@ -132,6 +134,30 @@ class TestGrid:
         report = json.loads((out / "grid.json").read_text())
         assert report["best"] is not None
 
+    def test_without_graph_bym2_rows_fail(self, sim_dir, tmp_path):
+        cfg = fast_config(tmp_path / "config.json", {"inference": {"n_samples": 120, "budget": 60}})
+        out = tmp_path / "grid"
+        rc = main(
+            [
+                "grid", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        header, rows = read_csv(out / "grid.csv")
+        assert header == ["pattern", "structure", "waic", "lppd", "p_waic", "converged",
+                          "waic_excluded_cells", "error"]
+        assert len(rows) == 16
+        failed = [row for row in rows if row[-1]]
+        assert [row[1] for row in failed] == ["bym2"] * 5
+        assert {row[-1] for row in failed} == {
+            "ValueError: bym2 structure requires an adjacency graph"
+        }
+        assert {row[6] for row in rows} == {"0"}
+        report = json.loads((out / "grid.json").read_text())
+        assert report["n_entries"] == 16 and "graph" not in report
+        assert [e["waic_excluded_cells"] for e in report["entries"]] == [0] * 16
+
     def test_structures_filter(self, sim_dir, tmp_path):
         cfg = fast_config(tmp_path / "config.json", {"inference": {"n_samples": 120, "budget": 60}})
         out = tmp_path / "grid2"
@@ -161,6 +187,28 @@ class TestPriorCheck:
         summary = json.loads((out / "prior_check.json").read_text())
         assert summary["n_sims"] == 40
         assert "frac_max_exceeds_observed" in summary
+
+
+    def test_graph_audit_in_meta(self, sim_dir, tmp_path):
+        # s1-s2 is an augmented link: it joins the two components of s0-s1 and s2
+        graph = tmp_path / "graph.csv"
+        graph.write_text("from,to,augmented\ns0,s1,false\ns1,s2,true\n")
+        cfg = fast_config(tmp_path / "config.json")
+        out = tmp_path / "pc"
+        rc = main(
+            [
+                "prior-check", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                "--graph", str(graph), "--out", str(out), "--structure", "bym2",
+                "--sims", "5",
+            ]
+        )
+        assert rc == 0
+        summary = json.loads((out / "prior_check.json").read_text())
+        assert summary["graph"] == {
+            "n_components_before": 2,
+            "n_components_after": 1,
+            "augmented_edges": [["s1", "s2"]],
+        }
 
 
 class TestHindcast:

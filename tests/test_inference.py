@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import re
 
@@ -603,7 +604,7 @@ class TestOptimize:
         opt_perm = optimize_hyperparameters(model, ds_perm, budget=600)
         assert opt.objective == pytest.approx(opt_perm.objective, abs=1e-4)
 
-    def test_budget_caps_laplace_evaluations(self, rng, monkeypatch):
+    def test_budget_caps_laplace_evaluations(self, rng, monkeypatch, caplog):
         # the simplex's first vertex is the start, whose value the search holds
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
@@ -615,8 +616,13 @@ class TestOptimize:
             return real(model, eta, *args, **kwargs)
 
         monkeypatch.setattr(inference, "_laplace_with_mode", spy)
-        with pytest.warns(RuntimeWarning, match="after 5 evaluations"):
+        with caplog.at_level(logging.WARNING, logger="stratapc.inference"):
             opt = optimize_hyperparameters(model, ds, budget=5)
+        assert opt.converged is False
+        assert [r.getMessage() for r in caplog.records] == [
+            "M5/independent: hyperparameter search stopped after 5 evaluations without "
+            "meeting the tolerance; returning the best point"
+        ]
         assert len(seen) == opt.n_evaluations == 5
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
 
@@ -631,6 +637,16 @@ class TestOptimize:
 
 
 class TestSamplePosterior:
+    def test_converged_only_after_a_search(self, rng):
+        # a fixed-eta pass ran no search, so it reports none; fit_model
+        # reports its search's flag
+        grid = GridSpec(4, 4)
+        ds, _ = toy_dataset(rng, grid=grid, n_strata=2)
+        model = assemble_model(grid, 2, "M5", "independent")
+        fit = sample_posterior(model, model.prior_model.default(), ds, n=20, seed=1)
+        assert fit.converged is None
+        assert fit_model(model, ds, n_samples=20, seed=1, budget=5).converged is False
+
     def test_moments_match_gaussian(self, rng):
         grid = GridSpec(4, 4)
         ds, _ = toy_dataset(rng, grid=grid, n_strata=2, exposure=1e4)
@@ -766,7 +782,6 @@ class TestDataArgument:
     both give the same bits; anything else is a TypeError, and a dataset
     or ``PoissonLikelihood`` of another (R, A, T) a ValueError."""
 
-    @pytest.mark.filterwarnings("ignore:hyperparameter search stopped")
     @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
     def test_dataset_and_its_likelihood_agree(self, entry, rng):
         grid = GridSpec(4, 4)

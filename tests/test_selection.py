@@ -1,5 +1,7 @@
+import logging
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -49,13 +51,16 @@ class TestWaic:
         assert b.p_waic == pytest.approx(a.p_waic, abs=1e-10)
         assert b.lppd == pytest.approx(a.lppd + 1.7, abs=1e-10)
 
-    def test_nonfinite_cells_flagged(self, rng):
+    def test_nonfinite_cells_flagged(self, rng, caplog):
         ll = rng.normal(-2.0, 0.4, size=(50, 8))
         ll[:, 2] = -np.inf
-        with pytest.warns(RuntimeWarning):
+        with caplog.at_level(logging.WARNING, logger="stratapc.selection"):
             out = waic(ll)
         assert list(out.flagged_cells) == [2]
         assert np.isfinite(out.waic)
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 cells with non-finite log likelihoods excluded from WAIC"
+        ]
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -96,9 +101,39 @@ class TestFitGrid:
         assert len(result.entries) == 11
 
     def test_bym2_without_graph_rejected(self, rng):
+        # each bym2 entry fails in its own entry with the structure's message
         ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M5", seed=4)
-        with pytest.raises(ValueError, match="graph"):
-            fit_grid(ds, quick_grid_config(structures=("independent", "bym2")))
+        result = fit_grid(ds, quick_grid_config(structures=("independent", "bym2")))
+        bym2 = [e for e in result.entries if e.structure == "bym2"]
+        assert [e.pattern for e in bym2] == ["M2", "M3", "M4", "M5", "M6"]
+        for e in bym2:
+            assert e.error == "ValueError: bym2 structure requires an adjacency graph"
+            assert e.fit is None and not e.converged and np.isnan(e.waic)
+        assert all(e.ok for e in result.entries if e.structure == "independent")
+
+    def test_default_config_runs_without_graph(self, caplog):
+        # GridConfig()'s own structures, no graph, a budget some searches
+        # exhaust: no Python warning, sixteen entries, and each exhausted
+        # search is a field of its entry and one record naming it
+        ds, _ = simulate_dataset(GridSpec(4, 4), 2, pattern="M5", seed=4)
+        config = GridConfig(n_samples=100, budget=150, seed=3)
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="stratapc"):
+            warnings.simplefilter("error")
+            result = fit_grid(ds, config)
+        assert len(result.entries) == 16
+        failed = [e for e in result.entries if not e.ok]
+        assert [e.structure for e in failed] == ["bym2"] * 5
+        assert all("requires an adjacency graph" in e.error for e in failed)
+        fitted = [e for e in result.entries if e.ok]
+        exhausted = [e for e in fitted if e.converged is False]
+        assert len(fitted) == 11 and exhausted and len(exhausted) < len(fitted)
+        assert all(e.converged == e.fit.converged for e in fitted)
+        stopped = [r.getMessage() for r in caplog.records if r.name == "stratapc.inference"]
+        assert len(stopped) == len(exhausted)
+        for e, message in zip(exhausted, stopped):
+            assert message.startswith(f"{e.pattern}/{e.structure}: hyperparameter search stopped")
+            assert "after 150 evaluations" in message
+        assert all(e.waic_excluded_cells == 0 for e in result.entries)
 
     @pytest.mark.parametrize(
         "names, unknown",

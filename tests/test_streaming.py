@@ -11,6 +11,7 @@ on several.  The memory guards check that the readers hold no whole-matrix
 temporaries.
 """
 
+import logging
 import sys
 import threading
 import tracemalloc
@@ -158,16 +159,15 @@ def test_lograte_cube_matches_stratum_logrates(fit):
 
 
 @pytest.mark.parametrize("bad_cells", [(), (0, 13, 14, 89)])
-def test_waic_matches_whole_matrix(small_blocks, bad_cells, rng):
+def test_waic_matches_whole_matrix(small_blocks, bad_cells, rng, caplog):
     ll = rng.normal(-3.0, 1.5, size=(N_DRAWS, 90))
     for cell, value in zip(bad_cells, (-np.inf, np.nan, np.inf, -np.inf)):
         ll[rng.integers(N_DRAWS), cell] = value
     *expected, flagged = whole_matrix_waic(ll)
-    if bad_cells:
-        with pytest.warns(RuntimeWarning, match="4 cells with non-finite log likelihoods"):
-            result = waic(ll)
-    else:
+    with caplog.at_level(logging.WARNING, logger="stratapc.selection"):
         result = waic(ll)
+    excluded = ["4 cells with non-finite log likelihoods excluded from WAIC"] if bad_cells else []
+    assert [r.getMessage() for r in caplog.records] == excluded
     assert result.as_tuple() == tuple(expected)
     assert np.array_equal(result.flagged_cells, flagged)
     assert np.array_equal(result.flagged_cells, np.array(bad_cells, dtype=int))
