@@ -188,7 +188,6 @@ class TestPriorCheck:
         assert summary["n_sims"] == 40
         assert "frac_max_exceeds_observed" in summary
 
-
     def test_graph_audit_in_meta(self, sim_dir, tmp_path):
         # s1-s2 is an augmented link: it joins the two components of s0-s1 and s2
         graph = tmp_path / "graph.csv"
