@@ -1,5 +1,7 @@
 """Identifiable stratified age-period-cohort models for event-count surfaces."""
 
+import logging
+
 from ._threads import pin_blas_threads
 from .core import (
     APCEffects,
@@ -54,5 +56,9 @@ from .selection import GridConfig, fit_grid, waic
 # After the imports above, so that scipy's OpenBLAS (loaded with
 # ``scipy.linalg`` by ``inference``) is mapped and gets pinned too.
 pin_blas_threads()
+
+# A library leaves its records to the application's handlers; without one,
+# Python's last-resort handler would print each WARNING to stderr.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

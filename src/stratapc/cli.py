@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 from pathlib import Path
 
@@ -525,6 +526,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # the package's records (an exhausted search, WAIC cells left out, ...)
+    # go to stderr once each, for this command only
+    handler = logging.StreamHandler(sys.stderr)
+    package_logger = logging.getLogger("stratapc")
+    package_logger.addHandler(handler)
     try:
         return _HANDLERS[args.command](args)
     except (UsageError, ConfigError, DataFormatError, DisconnectedGraphError) as exc:
@@ -533,6 +539,8 @@ def main(argv=None) -> int:
     except (ModeError, sla.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

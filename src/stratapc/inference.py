@@ -22,6 +22,14 @@ Sigma^-1 is dense, so every coordinate is global and each factorization
 is the dense one.  The dense Hessian and its Cholesky factor are built
 only when posterior draws are taken.
 
+A Hessian build takes everything that depends on eta alone from the
+prior's ``hessian_terms``, computed once per Laplace evaluation, and its
+Gram blocks as slices: ``weighted_gram`` stacks each stratum's Gram in the
+Hessian's column order (``HessianLayout.order``).  A dense Hessian is the
+dense Gram with the prior precision added in place
+(``LatentPrior.add_precision``); the free_dim^2 ``LatentPrior.precision``
+is the tests' oracle only.
+
 A dataset meets a model in one place, ``LatentModel.likelihood``, which
 rejects one whose (R, A, T) is not the model's.  Cell vectorization is
 stratum-major, column-major by period within each stratum:
@@ -219,6 +227,7 @@ class LatentPrior:
     """
 
     def __init__(self, model: "LatentModel", eta: HyperParameters):
+        self._model = model
         free_dim = model.free_dim
         self.mean = np.zeros(free_dim)
         self.within = np.zeros(free_dim)
@@ -305,21 +314,88 @@ class LatentPrior:
     def grad(self, xi: np.ndarray) -> np.ndarray:
         return -self._apply(xi - self.mean)
 
+    def _exch_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values) of the exchangeable blocks' precision:
+        Sigma^-1 = a I - rho a c 11' per column, times within."""
+        idx = self._exch
+        rho = self.rho[idx[0]]
+        a = 1.0 / (1.0 - rho)
+        c = 1.0 / (1.0 + (idx.shape[0] - 1) * rho)
+        sigma_inv = a * np.eye(idx.shape[0])[:, :, None] - rho * a * c
+        return idx[:, None, :], idx[None, :, :], sigma_inv * self.within[idx[0]]
+
     @property
     def precision(self) -> np.ndarray:
-        """The dense precision, built on each read (tests and draws)."""
+        """The dense precision, built on each read: the tests' oracle (no
+        package code reads it; ``add_precision`` adds it in place)."""
         precision = np.diag(self._diagonal)
         if self._exch is not None:
-            # Sigma^-1 = a I - rho a c 11' per column, times within
-            idx = self._exch
-            rho = self.rho[idx[0]]
-            a = 1.0 / (1.0 - rho)
-            c = 1.0 / (1.0 + (idx.shape[0] - 1) * rho)
-            sigma_inv = a * np.eye(idx.shape[0])[:, :, None] - rho * a * c
-            precision[idx[:, None, :], idx[None, :, :]] = sigma_inv * self.within[idx[0]]
+            rows, cols, values = self._exch_entries()
+            precision[rows, cols] = values
         for sl, within, sigma_inv in self._dense:
             precision[sl, sl] = np.kron(sigma_inv, np.diag(within))
         return precision
+
+    def add_precision(self, h: np.ndarray) -> np.ndarray:
+        """``h`` += the precision, in place and from the per-block terms,
+        without forming the free_dim^2 matrix; returns ``h``."""
+        np.einsum("ii->i", h)[...] += self._diagonal
+        if self._exch is not None:
+            rows, cols, values = self._exch_entries()
+            h[rows, cols] += values
+        for sl, within, sigma_inv in self._dense:
+            copies, length = sigma_inv.shape[0], within.shape[0]
+            # Sigma^-1 (x) diag(within): the diagonal of each (r, s) sub-block
+            block = h[sl, sl].reshape(copies, length, copies, length)
+            np.einsum("risi->rsi", block)[...] += sigma_inv[:, :, None] * within
+        return h
+
+    @cached_property
+    def hessian_terms(self) -> "HessianPriorTerms":
+        """The prior's part of every Hessian build at this eta, computed on
+        the first build and kept for the rest of the Newton iteration."""
+        lay, n_strata = self._model.hessian_layout, self._model.n_strata
+        cols = lay.loc_index[0]
+        d, rho = self.within[cols], self.rho[cols]
+        a = 1.0 / (1.0 - rho)
+        q = a * d
+        pos_rho = np.flatnonzero(rho > 0)
+        n_m = pos_rho.shape[0]
+        pos_rho = slice(None) if n_m == cols.shape[0] else pos_rho  # a view when every local is
+        h_mm = (n_strata * a[pos_rho] + 1.0 / rho[pos_rho]) * d[pos_rho]
+        neg_rho = np.flatnonzero(rho < 0)
+        mu = (-rho * a / (1.0 + (n_strata - 1) * rho) * d)[neg_rho]
+        return HessianPriorTerms(
+            glob_within=self.within[lay.glob_index],
+            q=q,
+            pos_rho=pos_rho,
+            q_m=q[pos_rho],
+            d_over_rho=d[pos_rho] / rho[pos_rho],
+            logdet_h_mm=float(np.sum(np.log(h_mm))),
+            neg_rho=neg_rho,
+            inv_mu=1.0 / mu,
+            logdet_mu=float(np.sum(np.log(mu))),
+        )
+
+
+@dataclass(frozen=True)
+class HessianPriorTerms:
+    """What a ``StructuredHessian`` build takes from the prior, fixed for a
+    whole Laplace evaluation (notation of ``StructuredHessian``): over the
+    local columns q = a d with d = within and a = 1/(1 - rho); the rho > 0
+    columns ``pos_rho`` (a slice when every local is one), their q, d / rho
+    and sum log h_mm, h_mm = (R a + 1/rho) d; the rho < 0 columns
+    ``neg_rho`` with 1/mu and sum log mu; and within on the global ones."""
+
+    glob_within: np.ndarray
+    q: np.ndarray
+    pos_rho: np.ndarray | slice
+    q_m: np.ndarray
+    d_over_rho: np.ndarray
+    logdet_h_mm: float
+    neg_rho: np.ndarray
+    inv_mu: np.ndarray
+    logdet_mu: float
 
 
 @dataclass
@@ -405,14 +481,18 @@ class LatentModel:
 
     def weighted_gram(self, w_flat: np.ndarray) -> np.ndarray:
         """Per-stratum M' diag(w_r) M over the canonical columns, stacked
-        (R, n_canonical, n_canonical).
+        (R, n_canonical, n_canonical) with the columns in the Hessian's
+        order (``hessian_layout.order``: local, then global), so that
+        ``StructuredHessian`` takes its blocks as slices.
 
         With the design factored as M = Y F by effect (``DesignParts``), each
         Gram is F' U_r F, where U_r = Y' diag(w_r) Y over the d = A + T + K
         effect rows is one scatter of the cells' weights.  That costs
         O(R (d^2 n + d n^2)) in place of O(R cells n^2), and sums only
         non-negative weights before the products, so nothing cancels."""
-        f = self.parts.loadings
+        # F with its columns in Hessian order, taken per call: a per-model
+        # copy would be retained by every grid entry's model
+        f = self.parts.loadings.take(self.hessian_layout.order, axis=1)
         d = f.shape[0]
         weights = np.repeat(w_flat, 9)  # one per pair, in ``_effect_pairs`` order
         u = np.bincount(self._effect_pairs, weights=weights, minlength=self.n_strata * d * d)
@@ -420,10 +500,13 @@ class LatentModel:
 
     def dense_gram(self, grams: np.ndarray) -> np.ndarray:
         """Design' diag(w) Design over the free vector: the stacked
-        per-stratum Grams scattered by ``col_index`` and summed in stratum
-        order.  The dense oracle of the structured Hessian."""
+        per-stratum Grams (``weighted_gram``) scattered by ``col_index`` in
+        the Hessian's column order (``hessian_layout.index``) and summed in
+        stratum order.  The dense Gram of the structured Hessian, read for
+        the draws and for the whole-layout factorizations."""
         n = self.free_dim
-        flat = (self.col_index[:, :, None] * n + self.col_index[:, None, :]).ravel()
+        index = self.hessian_layout.index
+        flat = (index[:, :, None] * n + index[:, None, :]).ravel()
         return np.bincount(flat, weights=grams.ravel(), minlength=n * n).reshape(n, n)
 
     @cached_property
@@ -434,17 +517,9 @@ class LatentModel:
         lengths = [self.blocks[name][1] for name in BLOCKS]
         shared = np.repeat([self.blocks[name][2] for name in BLOCKS], lengths)
         local = ~shared if self.structure.kind != "bym2" else np.zeros_like(shared)
-        loc_cols, glob_cols = np.flatnonzero(local), np.flatnonzero(~local)
-        if loc_cols.size:  # global columns are shared: the same slots in every stratum
-            glob_index = self.col_index[0, glob_cols]
-        else:
-            glob_index = np.arange(self.free_dim)
-        return HessianLayout(
-            loc_cols=loc_cols,
-            glob_cols=glob_cols,
-            loc_index=self.col_index[:, loc_cols],
-            glob_index=glob_index,
-        )
+        order = np.concatenate([np.flatnonzero(local), np.flatnonzero(~local)])
+        index = np.ascontiguousarray(self.col_index[:, order])
+        return HessianLayout(order=order, n_loc=int(local.sum()), index=index)
 
     # ------------------------------------------------------------------
     # latent prior
@@ -582,20 +657,30 @@ def poisson_loglik(
 
 @dataclass(frozen=True)
 class HessianLayout:
-    """Where a stratum's canonical columns go in the structured Hessian:
-    ``loc_index[r]`` holds the free positions of stratum r's local
-    coordinates (columns ``loc_cols``), ``glob_index`` the free positions of
-    the global ones.  With no local coordinates (bym2, or every block
-    shared) the global system is the whole Hessian in free order."""
+    """The structured Hessian's column order: a stratum's canonical columns
+    ``order``ed local first (``n_loc`` of them), then global, and
+    ``index[r]`` the free positions of stratum r's columns in that order.
+    ``loc_index[r]`` holds stratum r's local coordinates; the global columns
+    are shared, the same slots ``glob_index`` in every stratum.  With no
+    local coordinates (bym2, or every block shared) the order is the
+    canonical one, the global system is the whole Hessian in free order
+    and ``glob_index`` is not used."""
 
-    loc_cols: np.ndarray
-    glob_cols: np.ndarray
-    loc_index: np.ndarray
-    glob_index: np.ndarray
+    order: np.ndarray  # (n_canonical,)
+    n_loc: int
+    index: np.ndarray  # (R, n_canonical) int
 
     @property
     def whole(self) -> bool:
-        return not self.loc_cols.size
+        return not self.n_loc
+
+    @property
+    def loc_index(self) -> np.ndarray:
+        return self.index[:, : self.n_loc]
+
+    @property
+    def glob_index(self) -> np.ndarray:
+        return self.index[0, self.n_loc :]
 
 
 def _factor(a: np.ndarray) -> np.ndarray:
@@ -652,64 +737,63 @@ class StructuredHessian:
     def __init__(self, model: "LatentModel", grams: np.ndarray, prior: LatentPrior):
         self.model, self.grams, self.prior = model, grams, prior
         lay = self.layout = model.hessian_layout
-        gc, lc = lay.glob_cols, lay.loc_cols
-        n_strata, n_loc, n_s = model.n_strata, lc.shape[0], lay.glob_index.shape[0]
         self.logdet = 0.0
         self.l_cap = None
         if lay.whole:
             self.l_s = _factor(self.dense())
             self.logdet = _logdet(self.l_s)
             return
-        glob = grams[:, gc[:, None], gc].sum(axis=0)  # the same slots in every stratum
-        glob[np.diag_indices(n_s)] += prior.within[lay.glob_index]
-        d, rho = prior.within[lay.loc_index[0]], prior.rho[lay.loc_index[0]]
-        a = 1.0 / (1.0 - rho)
-        q = a * d
-        g_loc = grams[:, lc[:, None], lc]
-        l_k = _factor(g_loc + np.diag(q))
+        terms = prior.hessian_terms
+        n_loc, n_m, pos_rho = lay.n_loc, terms.q_m.shape[0], terms.pos_rho
+        n_s = grams.shape[1] - n_loc
+        self.n_m = n_m
+        g_loc = grams[:, :n_loc, :n_loc]
+        k = g_loc.copy()  # K_r = G_r[loc, loc] + diag(q); S_mm reads G_r itself
+        np.einsum("rii->ri", k)[...] += terms.q
+        l_k = _factor(k)
         self.logdet += _logdet(l_k)
         # Schur complements are taken as W'W with W = L^-1 (...), not as
         # B' K^-1 B, which loses digits when a K_r is ill conditioned
         self.l_inv = l_inv = np.stack([sla.lapack.dtrtri(block, lower=1)[0] for block in l_k])
 
         # globals (m, s): a mean m for each rho > 0 coordinate
-        pos_rho = np.flatnonzero(rho > 0)
-        self.n_m = n_m = pos_rho.shape[0]
-        pos_rho = slice(None) if n_m == n_loc else pos_rho  # a view when every local is
-        q_m = q[pos_rho]
-        h_mm = (n_strata * a[pos_rho] + 1.0 / rho[pos_rho]) * d[pos_rho]
-        self.logdet -= float(np.sum(np.log(h_mm)))
+        self.logdet -= terms.logdet_h_mm
         # W_r = L_r^-1 [H_lm, B_r], H_lm holding -q at (j, slot of j)
         l_pos_rho = l_inv[:, :, pos_rho]
-        self.w = np.concatenate([-l_pos_rho * q_m, l_inv @ grams[:, lc[:, None], gc]], axis=2)
+        self.w = np.empty((model.n_strata, n_loc, n_m + n_s))
+        np.multiply(l_pos_rho, -terms.q_m, out=self.w[:, :, :n_m])
+        np.matmul(l_inv, grams[:, :n_loc, n_loc:], out=self.w[:, :, n_m:])
         # only the (s, m) and (s, s) rows of -sum_r W_r'W_r: S_mm is formed below
         s = np.empty((n_m + n_s, n_m + n_s))
         s[n_m:] = -(self.w[:, :, n_m:].swapaxes(1, 2) @ self.w).sum(axis=0)
+        glob = grams[:, n_loc:, n_loc:].sum(axis=0)  # the same slots in every stratum
+        np.einsum("ii->i", glob)[...] += terms.glob_within
         s[n_m:, n_m:] += glob
         if n_m:
             # S_mm = diag(h_mm) - sum_r q K_r^-1 q, written as
             # diag(d / rho) + q sum_r K_r^-1 G_r, free of the cancellation as rho -> 1
             k_inv_g = (l_pos_rho.swapaxes(1, 2) @ (l_inv @ g_loc[:, :, pos_rho])).sum(axis=0)
-            k_inv_g *= q_m[:, None]
-            s[:n_m, :n_m] = np.diag(d[pos_rho] / rho[pos_rho]) + 0.5 * (k_inv_g + k_inv_g.T)
+            k_inv_g *= terms.q_m[:, None]
+            s[:n_m, :n_m] = 0.5 * (k_inv_g + k_inv_g.T)
+            np.einsum("ii->i", s[:n_m, :n_m])[...] += terms.d_over_rho
             s[:n_m, n_m:] = s[n_m:, :n_m].T
         self.l_s = _factor(s) if s.shape[0] else None
         if self.l_s is not None:
             self.logdet += _logdet(self.l_s)
 
         # Woodbury for the rho < 0 coordinates
-        self.neg_rho = np.flatnonzero(rho < 0)
+        self.neg_rho = terms.neg_rho
         if self.neg_rho.shape[0]:
-            mu = (-rho * a / (1.0 + (n_strata - 1) * rho) * d)[self.neg_rho]
             l_neg_rho = l_inv[:, :, self.neg_rho].swapaxes(1, 2)
             # sum_r K_r^-1[neg_rho, neg_rho]
             cap = (l_neg_rho @ l_neg_rho.swapaxes(1, 2)).sum(axis=0)
             if self.l_s is not None:
                 f = (l_neg_rho @ self.w).sum(axis=0)  # sum_r K_r^-1[neg_rho, :] [H_lm, B_r]
                 cap += f @ _cho_solve(self.l_s, f.T)
-            cap = 0.5 * (cap + cap.T) + np.diag(1.0 / mu)
+            cap = 0.5 * (cap + cap.T)
+            np.einsum("ii->i", cap)[...] += terms.inv_mu
             self.l_cap = _factor(cap)
-            self.logdet += float(np.sum(np.log(mu))) + _logdet(self.l_cap)
+            self.logdet += terms.logdet_mu + _logdet(self.l_cap)
 
     def _arrow_solve(self, g_loc: np.ndarray, g_glob: np.ndarray):
         """H_0^-1 [g_loc; g_glob]: g_loc as (R, n_local), g_glob over (m, s)."""
@@ -741,10 +825,9 @@ class StructuredHessian:
 
     def dense(self) -> np.ndarray:
         """The dense Hessian: the oracle of this factorization, and the
-        matrix posterior draws are taken from."""
-        dense = self.model.dense_gram(self.grams)
-        dense += self.prior.precision
-        return dense
+        matrix posterior draws are taken from.  The prior precision is added
+        into the dense Gram in place."""
+        return self.prior.add_precision(self.model.dense_gram(self.grams))
 
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the dense Hessian; the global factor

@@ -116,6 +116,19 @@ class TestFit:
         assert fit_one_stratum(tmp_path, "1000000", "1e308") == 0
         assert not [w for w in recwarn if any(m in str(w.message) for m in ("divide", "overflow"))]
 
+    def test_search_record_printed_once_per_command(self, sim_dir, tmp_path, capsys):
+        cfg = fast_config(tmp_path / "config.json", {"inference": {"n_samples": 120, "budget": 3}})
+        for run in ("a", "b"):
+            rc = main(
+                [
+                    "fit", "--config", str(cfg), "--data", str(sim_dir / "data.csv"),
+                    "--out", str(tmp_path / run), "--pattern", "M4", "--structure", "independent",
+                ]
+            )
+            assert rc == 0
+            err = capsys.readouterr().err
+            assert err.count("hyperparameter search stopped after 3 evaluations") == 1, err
+
 
 class TestGrid:
     def test_grid_csv_rows(self, sim_dir, tmp_path):

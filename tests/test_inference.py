@@ -1,7 +1,11 @@
 import dataclasses
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,19 +235,29 @@ class TestWeightedGram:
     def test_matches_the_direct_product(self, shape, n_strata, skewed, rng):
         grid = GridSpec(*shape)
         spec = SKEWED if skewed else None
-        model = assemble_model(grid, n_strata, "M6", "independent", baseline_spec=spec)
-        if not skewed:  # odd ages anchor on an age-cohort triple, even on age-period
-            assert model.baseline_spec.coordinates == ("age-cohort" if shape[0] % 2 else "age-period")
-        m = model.parts.matrix
         w = np.exp(rng.uniform(0.0, 12.0, (n_strata, grid.n_cells)))
         w[rng.random(w.shape) < 0.2] = 0.0  # unobserved cells
         w[:, :2] = 1.0, np.exp(12.0)
-        grams = model.weighted_gram(w.ravel())
-        assert grams.shape == (n_strata, grid.n_canonical, grid.n_canonical)
-        for r in range(n_strata):
-            direct = m.T @ (w[r, :, None] * m)
-            err = np.max(np.abs(grams[r] - direct)) / np.max(np.abs(direct))
-            assert err <= 1e-13, (r, err)
+        cases = [("M1", "independent"), ("M4", "exchangeable"), ("M6", "independent")]
+        for pattern, kind in cases if n_strata > 1 else cases[::2]:
+            model = assemble_model(grid, n_strata, pattern, kind, baseline_spec=spec)
+            if not skewed:  # odd ages anchor on an age-cohort triple, even on age-period
+                assert model.baseline_spec.coordinates == ("age-cohort" if shape[0] % 2 else "age-period")
+            m = model.parts.matrix
+            grams = model.weighted_gram(w.ravel())
+            assert grams.shape == (n_strata, grid.n_canonical, grid.n_canonical)
+            # each stratum's Gram has its columns in the Hessian's order
+            order = model.hessian_layout.order
+            assert np.array_equal(np.sort(order), np.arange(grid.n_canonical))
+            direct = np.zeros((model.free_dim, model.free_dim))
+            for r in range(n_strata):
+                gram = m.T @ (w[r, :, None] * m)
+                err = np.max(np.abs(grams[r] - gram[np.ix_(order, order)])) / np.max(np.abs(gram))
+                assert err <= 1e-13, (pattern, r, err)
+                direct[np.ix_(model.col_index[r], model.col_index[r])] += gram
+            # and dense_gram puts them back in free order: M'WM of the stacked design
+            err = np.max(np.abs(model.dense_gram(grams) - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-13, (pattern, err)
 
     def test_unobserved_stratum_gives_a_zero_gram(self, rng):
         grid = GridSpec(5, 7)
@@ -625,6 +639,26 @@ class TestOptimize:
         ]
         assert len(seen) == opt.n_evaluations == 5
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+    def test_exhausted_search_prints_nothing_by_itself(self):
+        # the package adds only a NullHandler: with no handler configured by
+        # the application, Python's last-resort handler would print the
+        # budget record to stderr (caplog sees it: the test above)
+        script = (
+            "from stratapc import GridSpec, assemble_model, optimize_hyperparameters, simulate_dataset\n"
+            "grid = GridSpec(4, 4)\n"
+            "ds, _ = simulate_dataset(grid, 2, pattern='M5', structure='independent', seed=3)\n"
+            "model = assemble_model(grid, 2, 'M5', 'independent')\n"
+            "print(optimize_hyperparameters(model, ds, budget=5).converged)\n"
+        )
+        src = str(Path(inference.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+        assert proc.stderr == ""
 
     def test_deterministic(self, rng):
         grid = GridSpec(4, 4)

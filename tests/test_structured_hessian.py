@@ -307,12 +307,30 @@ class TestDenseOnlyForDraws:
         assert all(model.free_dim not in shape for shape in factored)
         assert max(shape[-1] for shape in factored) <= model.grid.n_canonical
 
-        # the one dense factorization: the Hessian at the optimum, for draws
+        # the one dense factorization: the Hessian at the optimum, for draws;
+        # the prior precision is added into the dense Gram, never formed
         factored.clear()
         fit = inference.sample_posterior(model, opt.eta_hat, ds, n=20, seed=1, mode=opt.mode)
         assert fit.samples.shape == (20, model.free_dim)
         assert factored == [(model.free_dim, model.free_dim)]
-        assert dense_reads == ["dense_gram", "precision"]
+        assert dense_reads == ["dense_gram"]
+
+    @pytest.mark.parametrize("pattern,kind", [("M4", "bym2"), ("M1", "independent")])
+    def test_whole_layout_mode_never_forms_the_prior_precision(self, pattern, kind, monkeypatch):
+        # bym2 and every-block-shared models factor the dense Hessian on
+        # every Newton step; its prior part comes from the per-block terms
+        model = model_for(3, pattern, kind)
+        eta = eta_at(model, 1.0)
+        reads = []
+        real_precision = LatentPrior.precision.fget
+
+        def spy_precision(prior):
+            reads.append("precision")
+            return real_precision(prior)
+
+        monkeypatch.setattr(LatentPrior, "precision", property(spy_precision))
+        mode = conditional_mode(model, eta, PoissonLikelihood(dataset(3)))
+        assert mode.n_iter >= 1 and reads == []
 
     def test_draws_come_from_the_dense_factor(self):
         ds, _ = simulate_dataset(
